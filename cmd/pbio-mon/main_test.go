@@ -171,6 +171,18 @@ func TestMonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer consConn.Close()
+	// The leaf registers a consumer when its accept loop takes the
+	// connection, which can lag the client's Dial; frames the leaf
+	// forwards before that never reach this consumer.  Produce only
+	// once the leaf lists it.
+	waitUntil(t, "leaf consumer registered", func() bool {
+		topo, err := meshmon.Crawl(leaf.metricsAddr, nil)
+		if err != nil {
+			return false
+		}
+		n := topo.Nodes[leaf.metricsAddr]
+		return n != nil && n.Err == "" && len(n.Info.Consumers) == 1
+	})
 	prodConn, err := net.Dial("tcp", root.prodAddr)
 	if err != nil {
 		t.Fatal(err)
