@@ -130,10 +130,10 @@ func dumpPlans(in io.Reader, archName string) error {
 		if err != nil {
 			return err
 		}
-		if len(prog.Code()) == 0 {
+		if p.NoOp {
 			fmt.Println("generated code: none (identical layouts, zero-copy receive)")
 		} else {
-			fmt.Printf("generated code (%d instructions):\n%s", len(prog.Code()), dcg.Disassemble(prog.Code()))
+			fmt.Printf("generated code (%d run ops):\n%s", len(prog.Ops()), dcg.DisassembleBatch(prog.Ops()))
 		}
 		fmt.Println()
 	}

@@ -55,7 +55,7 @@ func BenchmarkAblation_InterpVsDCG(b *testing.B) {
 // BenchmarkAblation_Coalescing measures the peephole optimizer's copy-span
 // fusion on the homogeneous shifted-layout conversion (Figure 7's
 // mismatch case), where fusion collapses one move per field into one move
-// per record.
+// per record: the same program compiled with and without Optimize.
 func BenchmarkAblation_Coalescing(b *testing.B) {
 	wireFmt := wire.MustLayout(ExtendedMixedSchema(ablationSize.N), &abi.X86)
 	natFmt := wire.MustLayout(MixedSchema(ablationSize.N), &abi.X86)
@@ -79,7 +79,7 @@ func BenchmarkAblation_Coalescing(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(natFmt.Size))
-			b.ReportMetric(float64(len(prog.Code())), "instrs")
+			b.ReportMetric(float64(len(prog.Ops())), "ops")
 			for i := 0; i < b.N; i++ {
 				if err := prog.Convert(dst, src); err != nil {
 					b.Fatal(err)
@@ -223,7 +223,7 @@ func BenchmarkAblation_ExtensionPosition(b *testing.B) {
 			// fields every expected offset is unchanged, so the whole
 			// conversion degenerates to an identity no-op.
 			b.SetBytes(int64(natFmt.Size))
-			b.ReportMetric(float64(len(prog.Code())), "instrs")
+			b.ReportMetric(float64(len(prog.Ops())), "ops")
 			for i := 0; i < b.N; i++ {
 				if err := prog.Convert(rec.Buf, rec.Buf); err != nil {
 					b.Fatal(err)

@@ -11,7 +11,8 @@ import (
 )
 
 // batchConvSizes are the batch sizes the fused-decode table sweeps; the
-// per-record column is the old dispatch-per-record DCG path.
+// per-record column is the single-record entry (Convert) of the same
+// program.
 var batchConvSizes = []int{1, 8, 64, 512}
 
 // batchConvSchema is the ~100-byte record of the batch experiments.
@@ -41,10 +42,11 @@ func batchConvSchema(mixed bool) *wire.Schema {
 
 // BatchConv measures receiver-side conversion in ns/record across the
 // ABI conversion matrix — same-layout (bulk copy), swap-only, and mixed
-// move+swap — for the per-record DCG path and the fused batch path at
-// increasing batch sizes.  Pure conversion cost: no framing, transport
-// or record handoff, so the numbers isolate what batch compilation buys
-// over per-record program dispatch.
+// move+swap — for one compiled program driven record by record
+// (Convert) and over whole batches (ConvertBatch) of increasing size.
+// Pure conversion cost: no framing, transport or record handoff, so the
+// numbers isolate what amortizing the entry and kernel dispatch over a
+// batch buys.
 func BatchConv() *Table {
 	header := []string{"regime", "bytes", "per-record"}
 	for _, n := range batchConvSizes {
@@ -52,7 +54,7 @@ func BatchConv() *Table {
 	}
 	t := &Table{
 		Title:  "DCG v2: fused batch conversion, ns/record vs batch size",
-		Note:   "~100 B records; per-record = one Program.Convert dispatch each, batches = one ConvertBatch per run",
+		Note:   "~100 B records; per-record = one Program.Convert call each, batches = one ConvertBatch per run",
 		Header: header,
 	}
 	regimes := []struct {
@@ -76,10 +78,6 @@ func BatchConv() *Table {
 		if err != nil {
 			panic(err)
 		}
-		bp, err := dcg.CompileBatch(plan)
-		if err != nil {
-			panic(err)
-		}
 
 		src := native.New(wf)
 		native.FillDeterministic(src, 1)
@@ -100,7 +98,7 @@ func BatchConv() *Table {
 			}
 			bdst := make([]byte, n*nf.Size)
 			d := Measure(func() {
-				if _, err := bp.ConvertBatch(bdst, bsrc); err != nil {
+				if _, err := prog.ConvertBatch(bdst, bsrc); err != nil {
 					panic(err)
 				}
 			})

@@ -11,27 +11,6 @@ import (
 	"repro/internal/wire"
 )
 
-// compileBatchFor builds per-record and batch programs for one arch pair
-// over the mixed test schema.
-func compileBatchFor(t *testing.T, from, to *abi.Arch) (*Program, *BatchProgram) {
-	t.Helper()
-	wf := wire.MustLayout(mixedSchema(), from)
-	nf := wire.MustLayout(mixedSchema(), to)
-	plan, err := convert.NewPlan(wf, nf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Compile(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := CompileBatch(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, bp
-}
-
 // fillBatch builds n contiguous wire records with distinct deterministic
 // contents.
 func fillBatch(wf *wire.Format, n int) []byte {
@@ -45,8 +24,8 @@ func fillBatch(wf *wire.Format, n int) []byte {
 }
 
 // TestConvertBatchMatchesPerRecord is the core contract: a batch convert
-// must be byte-identical to n independent per-record converts into a
-// zeroed buffer, across swap-heavy, move-only, resizing and no-op pairs.
+// must be byte-identical to n independent single-record converts,
+// across swap-heavy, move-only, resizing and no-op pairs.
 func TestConvertBatchMatchesPerRecord(t *testing.T) {
 	pairs := []struct {
 		name     string
@@ -60,13 +39,13 @@ func TestConvertBatchMatchesPerRecord(t *testing.T) {
 	}
 	for _, pr := range pairs {
 		t.Run(pr.name, func(t *testing.T) {
-			prog, bp := compileBatchFor(t, &pr.from, &pr.to)
+			bp := compileFor(t, &pr.from, &pr.to)
 			wf, nf := bp.Plan().Wire, bp.Plan().Native
 			for _, n := range []int{1, 2, 3, 17} {
 				src := fillBatch(wf, n)
 				want := make([]byte, n*nf.Size)
 				for i := 0; i < n; i++ {
-					if err := prog.Convert(want[i*nf.Size:(i+1)*nf.Size], src[i*wf.Size:(i+1)*wf.Size]); err != nil {
+					if err := bp.Convert(want[i*nf.Size:(i+1)*nf.Size], src[i*wf.Size:(i+1)*wf.Size]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -79,7 +58,7 @@ func TestConvertBatchMatchesPerRecord(t *testing.T) {
 					t.Fatalf("n=%d: ConvertBatch returned %d", n, cnt)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("n=%d: batch output differs from per-record output\nbatch code:\n%s",
+					t.Fatalf("n=%d: batch output differs from single-record output\ncode:\n%s",
 						n, DisassembleBatch(bp.Ops()))
 				}
 			}
@@ -91,7 +70,7 @@ func TestConvertBatchMatchesPerRecord(t *testing.T) {
 // that is empty or not a whole number of records is an error, matching
 // the transport's batch-frame validation.
 func TestConvertBatchRejectsPartialInput(t *testing.T) {
-	_, bp := compileBatchFor(t, &abi.SparcV8, &abi.X86)
+	bp := compileFor(t, &abi.SparcV8, &abi.X86)
 	wf, nf := bp.Plan().Wire, bp.Plan().Native
 	dst := make([]byte, 4*nf.Size)
 	for _, bad := range []int{0, 1, wf.Size - 1, wf.Size + 1, 3*wf.Size - 7} {
@@ -109,7 +88,7 @@ func TestConvertBatchRejectsPartialInput(t *testing.T) {
 // TestCompileBatchBulkCopy pins the move-only specialization: a
 // layout-identical pair compiles to a single whole-batch copy.
 func TestCompileBatchBulkCopy(t *testing.T) {
-	_, bp := compileBatchFor(t, &abi.X86, &abi.X86)
+	bp := compileFor(t, &abi.X86, &abi.X86)
 	ops := bp.Ops()
 	if len(ops) != 1 || ops[0].Kind != BBulkCopy {
 		t.Fatalf("noop pair compiled to %d ops:\n%s", len(ops), DisassembleBatch(ops))
@@ -136,10 +115,10 @@ func TestFuseBatchWidens(t *testing.T) {
 		words, rem   int
 	}{
 		{8, 3, BSwapWide, 3, 0},
-		{4, 1, BSwap, 0, 0},
+		{4, 1, BSwapWide, 0, 1},
 		{4, 2, BSwapWide, 1, 0},
 		{4, 7, BSwapWide, 3, 1},
-		{2, 3, BSwap, 0, 0},
+		{2, 3, BSwapWide, 0, 3},
 		{2, 4, BSwapWide, 1, 0},
 		{2, 11, BSwapWide, 2, 3},
 	}
@@ -161,7 +140,7 @@ func TestFuseBatchWidens(t *testing.T) {
 // reports: a swap-heavy pair must fuse words, and nested records must
 // fall back to per-record steps.
 func TestBatchStats(t *testing.T) {
-	_, bp := compileBatchFor(t, &abi.SparcV8, &abi.X86)
+	bp := compileFor(t, &abi.SparcV8, &abi.X86)
 	runs, words, steps := bp.Stats()
 	if runs == 0 || words == 0 {
 		t.Errorf("swap pair: runs=%d fusedWords=%d, want both > 0\n%s",
@@ -178,7 +157,7 @@ func TestBatchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested, err := CompileBatch(plan)
+	nested, err := Compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +170,6 @@ func TestBatchStats(t *testing.T) {
 	}
 }
 
-// TestConvertBatchAllocs pins the batch engine itself at zero
-// allocations per call (the pbio-level pin covers the full decode path).
 // TestSwapBlockMatchesScalar pins the SIMD shuffle against a scalar
 // reference for every width and a range of run lengths, including ones
 // below the 16-byte block size (where swapBlock must decline) and ones
@@ -228,11 +205,13 @@ func TestSwapBlockMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCompileBatchRecordShuffle pins the whole-record permutation form
-// on machines with the SIMD shuffle unit: an all-swap heterogeneous
-// record compiles to a single BShuf op whose masks reverse each field's
-// lanes and zero the alignment gap.  (Output equivalence is covered by
-// TestConvertBatchMatchesPerRecord and the differential fuzz target.)
+// TestCompileBatchRecordShuffle pins the whole-record shuffle form on
+// machines with the SIMD shuffle unit: an all-swap heterogeneous record
+// compiles to a single BShuf op whose masks reverse each field's lanes
+// and zero the alignment gap, and the paper's 100 B mixed record, whose
+// fields shift between sparc-v8 and x86 offsets, gathers every block
+// from at most two source windows.  (Output equivalence is covered by
+// the property tests and the differential fuzz target.)
 func TestCompileBatchRecordShuffle(t *testing.T) {
 	if !shufAvailable() {
 		t.Skip("no SIMD shuffle unit on this CPU")
@@ -250,7 +229,7 @@ func TestCompileBatchRecordShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := CompileBatch(plan)
+	bp, err := Compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +248,51 @@ func TestCompileBatchRecordShuffle(t *testing.T) {
 	if !bytes.Equal(masks[:16], want) {
 		t.Fatalf("first mask block = % x, want % x", masks[:16], want)
 	}
+	if w := ops[0].Win; w[0] != 0 || w[1] >= 0 {
+		t.Fatalf("first block windows = %v, want one window at offset 0", w[:2])
+	}
+
+	plan, err = convert.NewPlan(wire.MustLayout(mixedSchemaN(7), &abi.SparcV8),
+		wire.MustLayout(mixedSchemaN(7), &abi.X86)) // 104-byte wire, 96-byte native
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := Compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ops := mixed.Ops(); len(ops) != 1 || ops[0].Kind != BShuf || len(ops[0].Masks) != mixed.Plan().Native.Size {
+		t.Fatalf("shifted mixed record should compile to one whole-record shuffle, got:\n%s",
+			DisassembleBatch(ops))
+	}
 }
 
+// TestGatherProgramLimits pins where a shuffle region must end: at a
+// block whose bytes span three source windows, and — when dst and src
+// alias — at a block that reads a source byte below its own offset,
+// which an earlier block's store has already replaced.
+func TestGatherProgramLimits(t *testing.T) {
+	lanes := make([]int32, 48)
+	for i := range lanes {
+		lanes[i] = int32(i)
+	}
+	lanes[16] = 15
+	if _, bad := gatherProgram(lanes, 64, false); bad != -1 {
+		t.Errorf("two-buffer gather stopped at block %d, want none", bad)
+	}
+	if _, bad := gatherProgram(lanes, 64, true); bad != 1 {
+		t.Errorf("in-place gather stopped at block %d, want 1", bad)
+	}
+	lanes[33], lanes[34] = 10, 60 // block 2 now needs windows at 10, 32 and 60
+	if _, bad := gatherProgram(lanes, 64, false); bad != 2 {
+		t.Errorf("three-window block: gather stopped at block %d, want 2", bad)
+	}
+}
+
+// TestConvertBatchAllocs pins both entry points at zero allocations
+// per call (the pbio-level pins cover the full decode paths).
 func TestConvertBatchAllocs(t *testing.T) {
-	_, bp := compileBatchFor(t, &abi.SparcV8, &abi.X86)
+	bp := compileFor(t, &abi.SparcV8, &abi.X86)
 	wf, nf := bp.Plan().Wire, bp.Plan().Native
 	src := fillBatch(wf, 64)
 	dst := make([]byte, 64*nf.Size)
@@ -283,5 +303,13 @@ func TestConvertBatchAllocs(t *testing.T) {
 	})
 	if got > 0 {
 		t.Errorf("ConvertBatch allocates %.1f per batch, want 0", got)
+	}
+	got = testing.AllocsPerRun(100, func() {
+		if err := bp.Convert(dst, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 0 {
+		t.Errorf("Convert allocates %.1f per record, want 0", got)
 	}
 }

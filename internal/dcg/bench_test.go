@@ -86,25 +86,30 @@ func batchBenchSchema() *wire.Schema {
 	}
 }
 
-// BenchmarkConvertBatch measures the fused batch engine across the
+// BenchmarkConvertBatch measures the compiled program across the
 // conversion matrix (same-layout bulk copy, swap-dominated, mixed
-// move+swap) and batch sizes.  The loop advances b.N by the batch size,
-// so ns/op reads directly as ns/record; the n=1 and perRecord cases are
-// the dispatch-overhead baselines the larger batches amortize away.
+// move+swap, and the paper's mixed record sparc-v8→x86 at 100 B and
+// 10 KB) and batch sizes.  The loop advances b.N by the batch size, so
+// ns/op reads directly as ns/record; the Convert rows (the single-record
+// entry, a batch of one) are the entry-overhead baselines the larger
+// batches amortize away.
 func BenchmarkConvertBatch(b *testing.B) {
 	pairs := []struct {
 		name     string
+		schema   *wire.Schema
 		from, to abi.Arch
 	}{
-		{"same-layout/x86-64-to-x86-64", abi.X86x64, abi.X86x64},
-		{"swap-only/sparc-to-x86-64", abi.SparcV8, abi.X86x64},
-		{"mixed/sparcv9-64-to-x86", abi.SparcV9x64, abi.X86},
+		{"same-layout/x86-64-to-x86-64", batchBenchSchema(), abi.X86x64, abi.X86x64},
+		{"swap-only/sparc-to-x86-64", batchBenchSchema(), abi.SparcV8, abi.X86x64},
+		{"mixed/sparcv9-64-to-x86", batchBenchSchema(), abi.SparcV9x64, abi.X86},
+		{"mixed-100B/sparc-to-x86", mixedSchemaN(7), abi.SparcV8, abi.X86},
+		{"mixed-10KB/sparc-to-x86", mixedSchemaN(1245), abi.SparcV8, abi.X86},
 	}
 	sizes := []int{1, 8, 64, 1024}
 	for _, pr := range pairs {
 		pr := pr
-		wf := wire.MustLayout(batchBenchSchema(), &pr.from)
-		nf := wire.MustLayout(batchBenchSchema(), &pr.to)
+		wf := wire.MustLayout(pr.schema, &pr.from)
+		nf := wire.MustLayout(pr.schema, &pr.to)
 		plan, err := convert.NewPlan(wf, nf)
 		if err != nil {
 			b.Fatal(err)
@@ -113,11 +118,7 @@ func BenchmarkConvertBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bp, err := CompileBatch(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(pr.name+"/perRecord", func(b *testing.B) {
+		b.Run(pr.name+"/Convert", func(b *testing.B) {
 			src := native.New(wf)
 			native.FillDeterministic(src, 1)
 			dst := native.New(nf)
@@ -142,7 +143,7 @@ func BenchmarkConvertBatch(b *testing.B) {
 				b.SetBytes(int64(nf.Size))
 				b.ResetTimer()
 				for i := 0; i < b.N; i += n {
-					if _, err := bp.ConvertBatch(dst, src); err != nil {
+					if _, err := prog.ConvertBatch(dst, src); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -8,28 +8,54 @@ import (
 	"repro/internal/convert"
 )
 
-// step is one compiled conversion step.  dst and src are whole record
-// buffers; all offsets are baked into the closure.
+// kernel executes one compiled op over n contiguous fixed-stride
+// records.  dst and src are whole record buffers; record strides and
+// intra-record offsets are baked into the closure.
+type kernel func(dst, src []byte, n int)
+
+// step converts one record for an op with no stride-aware kernel form —
+// integer/float converts and nested subroutine calls (BStep).
 type step func(dst, src []byte)
 
 // Program is a compiled conversion routine: the run-time-generated
-// counterpart of the interpreted converter.  A Program is immutable and
-// safe for concurrent use.
+// counterpart of the interpreted converter.  It converts one record
+// (Convert) or a run of contiguous fixed-stride records (ConvertBatch)
+// with the same kernels: each op runs over every record of the run
+// before the next op starts, so plan lookup, program fetch and bounds
+// checks happen once per call, and byte-swap runs execute as whole-
+// record shuffles or word-at-a-time loops instead of element by
+// element.  A single record is a batch of one.
+//
+// Every destination byte of a record is written: padding no field op
+// covers is zero-filled, so output never depends on what the
+// destination held before.
+//
+// A Program is immutable and safe for concurrent use.
 type Program struct {
-	plan  *convert.Plan
-	code  []Instr // optimized instruction stream (for inspection)
-	steps []step
-	noop  bool
+	plan    *convert.Plan
+	ops     []BatchOp // fused instruction stream (for inspection)
+	kernels []kernel
+
+	srcStride int // wire record size
+	dstStride int // native record size
+	noop      bool
+
+	steps int // ops executed via per-record steps (BStep)
+	words int // 64-bit word operations per record across shuffle and wide-swap ops
 }
 
-// Compile plans, emits, optimizes and lowers a conversion program for the
-// given plan.  This is the "one-time cost of generating binary code" the
-// paper amortizes across records.
+// Compile plans, emits, optimizes, fuses and lowers a conversion program
+// for the given plan.  This is the "one-time cost of generating binary
+// code" the paper amortizes across records.  The instruction stream is
+// optimized first (field→run coalescing), destination gaps become zero
+// runs, then the leading bytes of the record fold into a shuffle program
+// where the CPU has one and fuse widens the remaining swap runs
+// into word-wide loops.  Layout-identical plans compile to one copy.
 func Compile(p *convert.Plan) (*Program, error) {
 	return compile(p, true)
 }
 
-// CompileUnoptimized lowers the raw instruction stream without the
+// CompileUnoptimized compiles the raw instruction stream without the
 // peephole pass.  It exists for the coalescing ablation benchmark; use
 // Compile everywhere else.
 func CompileUnoptimized(p *convert.Plan) (*Program, error) {
@@ -37,6 +63,16 @@ func CompileUnoptimized(p *convert.Plan) (*Program, error) {
 }
 
 func compile(p *convert.Plan, optimize bool) (*Program, error) {
+	prog := &Program{
+		plan:      p,
+		srcStride: p.Wire.Size,
+		dstStride: p.Native.Size,
+		noop:      p.NoOp,
+	}
+	if p.NoOp {
+		prog.ops = []BatchOp{{Kind: BBulkCopy}}
+		return prog, nil
+	}
 	code, err := Emit(p)
 	if err != nil {
 		return nil, err
@@ -44,150 +80,147 @@ func compile(p *convert.Plan, optimize bool) (*Program, error) {
 	if optimize {
 		code = Optimize(code)
 	}
-	prog := &Program{plan: p, code: code, noop: p.NoOp}
-	prog.steps = make([]step, 0, len(code))
-	for _, in := range code {
-		s, err := lower(in)
-		if err != nil {
-			return nil, err
+	code = zeroFill(code, prog.dstStride)
+	prog.ops, prog.kernels, err = lowerProgram(code, prog.dstStride, prog.srcStride, p.InPlace)
+	if err != nil {
+		return nil, err
+	}
+	for _, op := range prog.ops {
+		switch op.Kind {
+		case BStep:
+			prog.steps++
+		case BSwapWide:
+			prog.words += op.Words
+		case BShuf:
+			prog.words += len(op.Masks) / 8
 		}
-		prog.steps = append(prog.steps, s)
 	}
 	return prog, nil
+}
+
+// lowerProgram turns a zero-filled instruction stream for records of
+// the given strides into fused ops and their kernels: a leading shuffle
+// (when one pays), then the remaining ops through fuse.  inPlace
+// says the caller may alias dst and src, which forbids a shuffle whose
+// writes would land on source bytes a later kernel still reads.
+func lowerProgram(code []Instr, ds, ss int, inPlace bool) ([]BatchOp, []kernel, error) {
+	shuf, rest, ok := buildRecordShuffle(code, ds, ss, inPlace)
+	if ok {
+		code = rest
+	}
+	ops := make([]BatchOp, 0, len(code)+1)
+	if ok {
+		ops = append(ops, shuf)
+	}
+	for _, in := range code {
+		ops = append(ops, fuse(in))
+	}
+	kernels := make([]kernel, 0, len(ops))
+	for _, op := range ops {
+		k, err := lowerKernel(op, ds, ss)
+		if err != nil {
+			return nil, nil, err
+		}
+		kernels = append(kernels, k)
+	}
+	return ops, kernels, nil
 }
 
 // Plan returns the plan the program was compiled from.
 func (p *Program) Plan() *convert.Plan { return p.plan }
 
-// Code returns the optimized instruction stream (for tests, dumps and the
-// ablation benchmarks).
-func (p *Program) Code() []Instr { return p.code }
+// Ops returns the fused instruction stream (for tests, dumps and
+// flight-journal stats).
+func (p *Program) Ops() []BatchOp { return p.ops }
 
-// Convert runs the compiled routine: one wire record in src is converted
-// into the receiver's native layout in dst.  dst and src may alias only
-// when the plan is in-place safe.
+// Stats summarizes the compiled shape for telemetry: the number of run
+// ops, the 64-bit word operations per record fused out of swap runs,
+// and the ops that fell back to per-record steps (converts, nested
+// subroutine calls).
+func (p *Program) Stats() (runs, fusedWords, stepFallbacks int) {
+	return len(p.ops), p.words, p.steps
+}
+
+// Convert converts one wire record in src into the receiver's native
+// layout in dst: the kernels run as a batch of one.  dst and src may
+// alias only when the plan is in-place safe.
 //
 //pbio:hotpath noalloc=0 per-record decode; pinned by pbio/alloc_test.go TestAllocsDCGDecode
 func (p *Program) Convert(dst, src []byte) error {
-	if len(src) < p.plan.Wire.Size {
-		return fmt.Errorf("dcg: source %d bytes, wire format needs %d", len(src), p.plan.Wire.Size)
+	if len(src) < p.srcStride {
+		return fmt.Errorf("dcg: source %d bytes, wire format needs %d", len(src), p.srcStride)
 	}
-	if len(dst) < p.plan.Native.Size {
-		return fmt.Errorf("dcg: destination %d bytes, native format needs %d", len(dst), p.plan.Native.Size)
+	if len(dst) < p.dstStride {
+		return fmt.Errorf("dcg: destination %d bytes, native format needs %d", len(dst), p.dstStride)
 	}
 	if p.noop {
 		if &dst[0] != &src[0] {
-			copy(dst[:p.plan.Native.Size], src[:p.plan.Wire.Size])
+			copy(dst[:p.dstStride], src[:p.srcStride])
 		}
 		return nil
 	}
-	for _, s := range p.steps {
-		s(dst, src)
+	for _, k := range p.kernels {
+		k(dst, src, 1)
 	}
 	return nil
 }
 
-// lower compiles one instruction into a specialized closure.
+// ConvertBatch converts every record of a contiguous fixed-stride batch:
+// src holds n wire records back to back, dst receives n native records
+// back to back.  n is derived from len(src), which must be a positive
+// multiple of the wire record size — trailing partial input is rejected,
+// matching the transport's batch-frame validation.  dst and src must not
+// overlap.  It returns the number of records converted.
+//
+//pbio:hotpath noalloc=0 batch decode path; pinned by pbio/alloc_test.go TestAllocsBatchDecode
+func (p *Program) ConvertBatch(dst, src []byte) (int, error) {
+	ss, ds := p.srcStride, p.dstStride
+	if len(src) == 0 || len(src)%ss != 0 {
+		return 0, fmt.Errorf("dcg: batch source %d bytes is not a positive multiple of wire record size %d", len(src), ss)
+	}
+	n := len(src) / ss
+	if len(dst) < n*ds {
+		return 0, fmt.Errorf("dcg: batch destination %d bytes, %d records of %d bytes need %d", len(dst), n, ds, n*ds)
+	}
+	if p.noop {
+		copy(dst[:n*ds], src[:n*ss])
+		return n, nil
+	}
+	for _, k := range p.kernels {
+		k(dst, src, n)
+	}
+	return n, nil
+}
+
+// lower compiles one convert or subroutine-call instruction into a
+// per-record step specialized with compile-time constants.  Moves,
+// swaps and zero-fills have stride-aware kernels and never come here.
 func lower(in Instr) (step, error) {
 	switch in.Op {
-	case IMovBlk:
-		d, s, n := in.Dst, in.Src, in.Len
-		if d == s {
-			// Identity move: a no-op whenever the conversion runs in
-			// place (PBIO's receive-buffer reuse).  This is what makes
-			// the paper's §4.4 advice — append new fields at the END of
-			// evolving formats — nearly free for old receivers: every
-			// expected field stays at its offset.
-			return func(dst, src []byte) {
-				if &dst[0] == &src[0] {
-					return
-				}
-				copy(dst[d:d+n], src[s:s+n])
-			}, nil
-		}
-		return func(dst, src []byte) {
-			copy(dst[d:d+n], src[s:s+n])
-		}, nil
-
-	case ISwap:
-		return lowerSwap(in)
-
 	case ICvtInt:
 		return lowerCvtInt(in)
 
 	case ICvtFloat:
 		return lowerCvtFloat(in)
 
-	case IZero:
-		d, n := in.Dst, in.Len
-		return func(dst, src []byte) {
-			b := dst[d : d+n]
-			for i := range b {
-				b[i] = 0
-			}
-		}, nil
-
 	case ICall:
-		// Compile the subroutine body once; the loop re-bases the
-		// buffers per element and runs the compiled steps.
-		sub := make([]step, 0, len(in.Sub))
-		for _, si := range in.Sub {
-			s, err := lower(si)
-			if err != nil {
-				return nil, err
-			}
-			sub = append(sub, s)
+		// The subroutine body is itself a program over Count records of
+		// stride DstW/SrcW: compile it once into kernels and run them
+		// over the element array.  The body may run in place when the
+		// enclosing plan does, so its shuffle is built alias-safe.
+		_, sub, err := lowerProgram(in.Sub, in.DstW, in.SrcW, true)
+		if err != nil {
+			return nil, err
 		}
 		d, s, n := in.Dst, in.Src, in.Count
-		ds, ss := in.DstW, in.SrcW
 		return func(dst, src []byte) {
-			for e := 0; e < n; e++ {
-				db := dst[d+e*ds : d+(e+1)*ds]
-				sb := src[s+e*ss : s+(e+1)*ss]
-				for _, st := range sub {
-					st(db, sb)
-				}
+			db, sb := dst[d:], src[s:]
+			for _, k := range sub {
+				k(db, sb, n)
 			}
 		}, nil
 	}
-	return nil, fmt.Errorf("dcg: cannot lower %v", in.Op)
-}
-
-// lowerSwap produces a fixed-width byte-reversing copy loop.  The
-// binary.BigEndian/LittleEndian calls are compiler intrinsics, so each
-// element is a single load, byte-swap and store — the same code a native
-// code generator would emit.
-func lowerSwap(in Instr) (step, error) {
-	d, s, n := in.Dst, in.Src, in.Count
-	switch in.Width {
-	case 2:
-		return func(dst, src []byte) {
-			for i := 0; i < n; i++ {
-				v := binary.BigEndian.Uint16(src[s+2*i:])
-				binary.LittleEndian.PutUint16(dst[d+2*i:], v)
-			}
-		}, nil
-	case 4:
-		return func(dst, src []byte) {
-			for i := 0; i < n; i++ {
-				v := binary.BigEndian.Uint32(src[s+4*i:])
-				binary.LittleEndian.PutUint32(dst[d+4*i:], v)
-			}
-		}, nil
-	case 8:
-		return func(dst, src []byte) {
-			for i := 0; i < n; i++ {
-				v := binary.BigEndian.Uint64(src[s+8*i:])
-				binary.LittleEndian.PutUint64(dst[d+8*i:], v)
-			}
-		}, nil
-	case 1:
-		// Width-1 swap degenerates to a copy.
-		return func(dst, src []byte) {
-			copy(dst[d:d+n], src[s:s+n])
-		}, nil
-	}
-	return nil, fmt.Errorf("dcg: swap width %d", in.Width)
+	return nil, fmt.Errorf("dcg: cannot lower %v as a step", in.Op)
 }
 
 // load and store function types used by the generic convert fallbacks.

@@ -118,8 +118,8 @@ func TestCompileUnoptimizedEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw.Code()) < len(opt.Code()) {
-		t.Errorf("unoptimized has FEWER instructions (%d < %d)", len(raw.Code()), len(opt.Code()))
+	if len(raw.Ops()) < len(opt.Ops()) {
+		t.Errorf("unoptimized has FEWER run ops (%d < %d)", len(raw.Ops()), len(opt.Ops()))
 	}
 	src := native.New(wf)
 	native.FillDeterministic(src, 3)

@@ -1,6 +1,7 @@
 package dcg
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +12,11 @@ import (
 	"repro/internal/wire"
 )
 
-func mixedSchema() *wire.Schema {
+func mixedSchema() *wire.Schema { return mixedSchemaN(8) }
+
+// mixedSchemaN is the paper's mixed record with n trailing doubles:
+// n=7 is its 100 B size and n=1245 its 10 KB size on x86.
+func mixedSchemaN(n int) *wire.Schema {
 	return &wire.Schema{
 		Name: "mixed",
 		Fields: []wire.FieldSpec{
@@ -21,7 +26,7 @@ func mixedSchema() *wire.Schema {
 			{Name: "tag", Type: abi.Char, Count: 16},
 			{Name: "residual", Type: abi.Float, Count: 1},
 			{Name: "flags", Type: abi.UInt, Count: 1},
-			{Name: "values", Type: abi.Double, Count: 8},
+			{Name: "values", Type: abi.Double, Count: n},
 		},
 	}
 }
@@ -39,12 +44,27 @@ func compileFor(t *testing.T, from, to *abi.Arch) *Program {
 	return prog
 }
 
+// dirtyConvert converts src into a 0xA5-filled destination.  A program
+// writes every destination byte, so the result must equal conversion
+// into a zeroed one — the contract DecodeInto's record reuse relies on.
+func dirtyConvert(t *testing.T, prog *Program, src []byte) []byte {
+	t.Helper()
+	dst := bytes.Repeat([]byte{0xA5}, prog.Plan().Native.Size)
+	if err := prog.Convert(dst, src); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 // TestCompiledMatchesInterpreted is the central equivalence property: for
 // every architecture pair, the generated program and the interpreter must
-// produce byte-identical output.
+// produce byte-identical output, into a dirty destination as into a
+// zeroed one.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	schemas := []*wire.Schema{
 		mixedSchema(),
+		mixedSchemaN(7),
+		mixedSchemaN(1245),
 		{Name: "ints", Fields: []wire.FieldSpec{
 			{Name: "a", Type: abi.Short, Count: 5},
 			{Name: "b", Type: abi.Long, Count: 3},
@@ -88,7 +108,11 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 				}
 				if string(got.Buf) != string(want.Buf) {
 					t.Errorf("%s: %s->%s: compiled and interpreted outputs differ\nplan:\n%s\ncode:\n%s",
-						s.Name, from.Name, to.Name, plan, Disassemble(prog.Code()))
+						s.Name, from.Name, to.Name, plan, DisassembleBatch(prog.Ops()))
+				}
+				if !bytes.Equal(dirtyConvert(t, prog, src.Buf), got.Buf) {
+					t.Errorf("%s: %s->%s: output depends on the destination's prior contents\ncode:\n%s",
+						s.Name, from.Name, to.Name, DisassembleBatch(prog.Ops()))
 				}
 			}
 		}
@@ -110,8 +134,8 @@ func TestCompiledPreservesValues(t *testing.T) {
 
 func TestNoOpProgram(t *testing.T) {
 	prog := compileFor(t, &abi.SparcV8, &abi.SparcV8)
-	if len(prog.Code()) != 0 {
-		t.Errorf("no-op program has %d instructions", len(prog.Code()))
+	if ops := prog.Ops(); len(ops) != 1 || ops[0].Kind != BBulkCopy {
+		t.Errorf("no-op program is not one bulk copy:\n%s", DisassembleBatch(ops))
 	}
 	src := native.New(prog.Plan().Wire)
 	native.FillDeterministic(src, 7)
@@ -150,15 +174,15 @@ func TestOptimizeCoalescesCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	nMov := 0
-	for _, in := range prog.Code() {
-		if in.Op != IMovBlk {
-			t.Fatalf("unexpected non-move instruction: %v", in)
+	for _, op := range prog.Ops() {
+		if op.Kind != BMove {
+			t.Fatalf("unexpected non-move op: %v", op)
 		}
 		nMov++
 	}
 	if nMov > 2 {
 		t.Errorf("shifted-layout conversion uses %d moves, want <= 2:\n%s",
-			nMov, Disassemble(prog.Code()))
+			nMov, DisassembleBatch(prog.Ops()))
 	}
 	// The fused program must still be correct.
 	src := native.New(wf)
@@ -184,12 +208,13 @@ func TestOptimizeCoalescesSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(plan)
+	code, err := Emit(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Code()) != 1 || prog.Code()[0].Op != ISwap || prog.Code()[0].Count != 12 {
-		t.Errorf("want single swap8 x12, got:\n%s", Disassemble(prog.Code()))
+	code = Optimize(code)
+	if len(code) != 1 || code[0].Op != ISwap || code[0].Count != 12 {
+		t.Errorf("want single swap8 x12, got:\n%s", Disassemble(code))
 	}
 }
 
@@ -324,9 +349,12 @@ func TestCacheConcurrent(t *testing.T) {
 
 func TestDisassembleAndStrings(t *testing.T) {
 	prog := compileFor(t, &abi.SparcV8, &abi.X86)
-	asm := Disassemble(prog.Code())
-	if !strings.Contains(asm, "swap") {
+	asm := DisassembleBatch(prog.Ops())
+	if !strings.Contains(asm, "swap") && !strings.Contains(asm, "shuf") {
 		t.Errorf("heterogeneous program has no swaps:\n%s", asm)
+	}
+	if code, _ := Emit(prog.Plan()); !strings.Contains(Disassemble(code), "swap") {
+		t.Errorf("heterogeneous instruction stream has no swaps:\n%s", Disassemble(code))
 	}
 	for _, in := range []Instr{
 		{Op: IMovBlk, Len: 4}, {Op: ISwap, Width: 8, Count: 2},
@@ -346,10 +374,16 @@ func TestLowerRejectsBadInstr(t *testing.T) {
 	if _, err := lower(Instr{Op: OpCode(42)}); err == nil {
 		t.Error("unknown opcode lowered")
 	}
-	if _, err := lower(Instr{Op: ISwap, Width: 3}); err == nil {
+	if _, err := lower(Instr{Op: ISwap, Width: 4, Count: 2}); err == nil {
+		t.Error("swap lowered as a per-record step")
+	}
+	if _, err := lowerKernel(fuseSwap(Instr{Op: ISwap, Width: 3, Count: 2}), 8, 8); err == nil {
 		t.Error("swap width 3 lowered")
 	}
 	if _, err := lower(Instr{Op: ICvtFloat, SrcW: 4, DstW: 4}); err == nil {
 		t.Error("float convert 4->4 lowered")
+	}
+	if _, err := lowerKernel(BatchOp{Kind: BatchOpKind(42)}, 8, 8); err == nil {
+		t.Error("unknown run op lowered")
 	}
 }

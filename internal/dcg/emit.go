@@ -2,6 +2,7 @@ package dcg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/abi"
 	"repro/internal/convert"
@@ -13,7 +14,7 @@ func Emit(p *convert.Plan) ([]Instr, error) {
 	if p.NoOp {
 		return nil, nil
 	}
-	code := make([]Instr, 0, 2*len(p.Ops))
+	code := make([]Instr, 0, len(p.Ops)+2)
 	for i := range p.Ops {
 		o := &p.Ops[i]
 		srcBig := o.SrcOrder == abi.BigEndian
@@ -45,7 +46,7 @@ func Emit(p *convert.Plan) ([]Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			sub = Optimize(sub)
+			sub = zeroFill(Optimize(sub), o.DstSize)
 			if o.Count <= inlineStructLimit {
 				// Inline small structure fields: emit the subroutine
 				// body at absolute offsets per element, so the peephole
@@ -106,59 +107,92 @@ func shiftInstrs(code []Instr, dstDelta, srcDelta int) []Instr {
 	return out
 }
 
-// FuseBatch lowers an optimized per-record instruction stream to batch
-// run ops, choosing the word-fused form for every swap run wide enough to
-// fill a 64-bit word:
+// zeroFill makes an instruction stream for records of size bytes define
+// every destination byte.  It drops the stream's zero-fills and appends
+// one zero run per maximal destination range no other instruction
+// writes — alignment padding, missing fields and the tails of shortened
+// arrays alike — so output never depends on what the destination held.
+// The runs go last: they write only bytes no other instruction writes,
+// and after every source read, so they are safe when a conversion runs
+// in place.  The result reuses code's storage.
+func zeroFill(code []Instr, size int) []Instr {
+	type span struct{ lo, hi int }
+	var buf [32]span
+	spans := buf[:0]
+	out := code[:0]
+	for _, in := range code {
+		if in.Op == IZero {
+			continue
+		}
+		out = append(out, in)
+		spans = append(spans, span{in.Dst, in.Dst + dstLen(in)})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return a.lo - b.lo })
+	pos := 0
+	for _, s := range append(spans, span{size, size}) {
+		if s.lo > pos {
+			out = append(out, Instr{Op: IZero, Dst: pos, Len: s.lo - pos})
+		}
+		pos = max(pos, s.hi)
+	}
+	return out
+}
+
+// dstLen returns the destination bytes an instruction writes.
+func dstLen(in Instr) int {
+	switch in.Op {
+	case IMovBlk, IZero:
+		return in.Len
+	case ISwap:
+		return in.Count * in.Width
+	}
+	return in.Count * in.DstW // converts and calls
+}
+
+// fuse lowers one instruction of an optimized per-record stream to its
+// run op, choosing the word-fused form for every swap run wide enough
+// to fill a 64-bit word:
 //
 //   - width-8 swaps are one bits.ReverseBytes64 per element already;
 //   - width-4 runs process element pairs per 64-bit word (ReverseBytes64
 //     plus a half-word rotate to restore element order);
 //   - width-2 runs process element quads per 64-bit word (a SWAR
 //     mask-and-shift that reverses bytes within each 16-bit lane);
+//   - elements that do not fill a last word are swapped singly;
 //   - width-1 swaps degenerate to moves, and moves/zeros pass through as
 //     per-record runs (the per-record stream already coalesced them);
 //   - converts and subroutine calls keep their per-record step (BStep).
 //
-// The input stream must already be optimized: FuseBatch widens elements
+// Each op then runs over every record of a call before the next op
+// starts — n records of a batch, or one.
+//
+// The input stream must already be optimized: fuse widens elements
 // into words, Optimize widens fields into element runs, and the former
 // only pays off after the latter.
-func FuseBatch(code []Instr) []BatchOp {
-	ops := make([]BatchOp, 0, len(code))
-	for _, in := range code {
-		switch in.Op {
-		case IMovBlk:
-			ops = append(ops, BatchOp{Kind: BMove, In: in})
-		case IZero:
-			ops = append(ops, BatchOp{Kind: BZero, In: in})
-		case ISwap:
-			ops = append(ops, fuseSwap(in))
-		default:
-			ops = append(ops, BatchOp{Kind: BStep, In: in})
-		}
+func fuse(in Instr) BatchOp {
+	switch in.Op {
+	case IMovBlk:
+		return BatchOp{Kind: BMove, In: in}
+	case IZero:
+		return BatchOp{Kind: BZero, In: in}
+	case ISwap:
+		return fuseSwap(in)
 	}
-	return ops
+	return BatchOp{Kind: BStep, In: in}
 }
 
-// fuseSwap picks the widest word shape a swap run supports.
+// fuseSwap picks the widest word shape a swap run supports; a run too
+// short to fill one word is all tail.
 func fuseSwap(in Instr) BatchOp {
-	perWord := 0
-	switch in.Width {
-	case 8:
-		perWord = 1
-	case 4:
-		perWord = 2
-	case 2:
-		perWord = 4
-	case 1:
+	if in.Width == 1 {
 		// Width-1 swap is a copy.
 		return BatchOp{Kind: BMove, In: Instr{Op: IMovBlk, Dst: in.Dst, Src: in.Src, Len: in.Count}}
-	default:
-		return BatchOp{Kind: BSwap, In: in} // rejected later by lowerSwap
 	}
-	if words := in.Count / perWord; words > 0 {
-		return BatchOp{Kind: BSwapWide, In: in, Words: words, Rem: in.Count % perWord}
+	perWord := 1 // widths 2/4/8 fit 4/2/1 elements per word; others are rejected by lowerSwapWide
+	if in.Width > 0 && in.Width < 8 {
+		perWord = 8 / in.Width
 	}
-	return BatchOp{Kind: BSwap, In: in}
+	return BatchOp{Kind: BSwapWide, In: in, Words: in.Count / perWord, Rem: in.Count % perWord}
 }
 
 // Optimize applies peephole optimizations to an instruction stream and
@@ -174,12 +208,13 @@ func fuseSwap(in Instr) BatchOp {
 // Fusion through gaps requires the source and destination gaps to be
 // equal, so the bytes between fields (padding on both sides) are copied
 // verbatim — harmless, since they are padding in both layouts.
+//
+// Optimize works in place: the result reuses code's storage.
 func Optimize(code []Instr) []Instr {
 	if len(code) == 0 {
 		return code
 	}
-	out := make([]Instr, 0, len(code))
-	out = append(out, code[0])
+	out := code[:1]
 	for _, in := range code[1:] {
 		last := &out[len(out)-1]
 		switch {

@@ -5,11 +5,13 @@
 // The Go standard library cannot emit native machine code, so the
 // pipeline is reproduced one level up: a conversion plan is lowered to a
 // stream of virtual-RISC instructions (the Vcode role), a peephole
-// optimizer coalesces and fuses them, and a run-time compiler lowers each
-// instruction to a closure specialized with compile-time constants —
-// straight-line copies, fixed-width swap loops, concrete convert loops —
-// executed with no per-field or per-element interpretive dispatch.  What
-// the paper measures is the gap between a table-driven interpreter and a
+// optimizer coalesces and fuses them, and a run-time compiler lowers the
+// stream to kernels specialized with compile-time constants — a
+// whole-record SIMD shuffle, word-wide swap loops, straight-line copies,
+// concrete convert loops — executed with no per-field or per-element
+// interpretive dispatch.  One compiled Program converts a single record
+// or a run of contiguous records with the same kernels.  What the paper
+// measures is the gap between a table-driven interpreter and a
 // once-generated specialized routine; that gap is exactly what this
 // package recreates.
 package dcg
@@ -95,45 +97,45 @@ func (in Instr) String() string {
 	return fmt.Sprintf("?%d", in.Op)
 }
 
-// BatchOpKind classifies one stride-aware run instruction of a batch
-// program (CompileBatch).  A batch op executes its per-record work for
-// every record of a contiguous fixed-stride run, so the dispatch cost of
-// one op is amortized over the whole batch instead of paid per record.
+// BatchOpKind classifies one stride-aware run instruction of a compiled
+// Program.  A run op executes its per-record work for every record of a
+// contiguous fixed-stride run, so the dispatch cost of one op is
+// amortized over the whole batch instead of paid per record.
 type BatchOpKind uint8
 
 const (
-	// BBulkCopy copies the entire batch payload — n contiguous records —
-	// with a single copy.  Emitted only for layout-identical plans.
+	// BBulkCopy copies the entire payload — n contiguous records — with
+	// a single copy.  Emitted only for layout-identical plans.
 	BBulkCopy BatchOpKind = iota
 	// BMove copies In.Len bytes from In.Src to In.Dst in every record.
 	BMove
-	// BSwap byte-reverses In.Count elements of In.Width bytes per
-	// record, one element at a time — the residual form for runs too
-	// short to fill a 64-bit word.
-	BSwap
 	// BSwapWide byte-reverses In.Count elements of In.Width bytes per
 	// record word-at-a-time: Words 64-bit loads per record, each
 	// reversing 8/In.Width elements in place (bits.ReverseBytes64 plus a
-	// rotate or SWAR correction), then Rem trailing elements singly.
+	// rotate or SWAR correction), then Rem trailing elements singly —
+	// all of them when the run is too short to fill a word.
 	BSwapWide
 	// BZero clears In.Len bytes at In.Dst in every record.
 	BZero
-	// BStep runs the per-record compiled step for In once per record —
-	// the fallback for integer/float converts and nested-structure
-	// subroutine calls, which have no word-fused form.
+	// BStep runs a compiled step for In once per record — the fallback
+	// for integer/float converts, which have no word-fused form, and
+	// nested-structure subroutine calls, whose body is itself a
+	// compiled run over the element array.
 	BStep
-	// BShuf applies a precomputed byte-permutation program to the
-	// leading 16-byte blocks of every record: one PSHUFB control mask
-	// per block subsumes every in-place swap and move in the region —
-	// however many fields a block spans — with zero lanes for padding
-	// and zero-fills.  Built only on CPUs with the shuffle unit; the
-	// remaining ops lower through the regular kernels and run after it.
+	// BShuf builds the leading 16-byte blocks of every destination
+	// record by byte shuffles: each block gathers its bytes from one or
+	// two 16-byte source windows through precomputed PSHUFB control
+	// masks, subsuming every swap and move in the region — however
+	// many fields a block spans, shifted or not — with zero lanes for
+	// padding and zero-fills.  Built only on CPUs with the shuffle
+	// unit; the remaining ops lower through the regular kernels and run
+	// after it.
 	BShuf
 )
 
 var batchOpNames = [...]string{
-	BBulkCopy: "bulkcopy", BMove: "move", BSwap: "swap",
-	BSwapWide: "swapw", BZero: "zero", BStep: "step", BShuf: "shuf",
+	BBulkCopy: "bulkcopy", BMove: "move", BSwapWide: "swapw",
+	BZero: "zero", BStep: "step", BShuf: "shuf",
 }
 
 // String names the batch op kind.
@@ -144,9 +146,9 @@ func (k BatchOpKind) String() string {
 	return fmt.Sprintf("bop(%d)", uint8(k))
 }
 
-// BatchOp is one stride-aware run instruction of a batch program: the
-// per-record instruction it was fused from plus the word-fusion shape
-// chosen for it.
+// BatchOp is one stride-aware run instruction of a compiled Program:
+// the per-record instruction it was fused from plus the word-fusion
+// shape chosen for it.
 type BatchOp struct {
 	Kind BatchOpKind
 	In   Instr // the per-record instruction this run executes
@@ -154,10 +156,14 @@ type BatchOp struct {
 	// elements swapped singly.  Words*8/In.Width + Rem == In.Count.
 	Words int
 	Rem   int
-	// BShuf only: one 16-byte PSHUFB control mask per record block.
-	// Lane values < 16 select a source byte within the block; 0x80
-	// lanes write zero (padding and zero-fills).
-	Masks []byte
+	// BShuf only: one 16-byte PSHUFB control mask per destination
+	// block for each of its two source windows, and the windows' source
+	// offsets, two per block (Win[2k+1] < 0: block k has one window).
+	// Lane values < 16 select a byte of the window; 0x80 lanes write
+	// zero (padding, zero-fills, and bytes of the other window).
+	Masks  []byte
+	MasksB []byte
+	Win    []int32
 }
 
 // String renders the batch op in a readable assembly-like form.
@@ -171,15 +177,21 @@ func (op BatchOp) String() string {
 	case BStep:
 		return fmt.Sprintf("step    {%s} *n", op.In.String())
 	case BShuf:
-		return fmt.Sprintf("shuf    d+0, s+0, %dB in %d blocks *n",
-			len(op.Masks), len(op.Masks)/16)
-	case BMove, BSwap, BZero:
+		two := 0
+		for k := 1; k < len(op.Win); k += 2 {
+			if op.Win[k] >= 0 {
+				two++
+			}
+		}
+		return fmt.Sprintf("shuf    d+0, %dB in %d blocks (%d two-window) *n",
+			len(op.Masks), len(op.Masks)/16, two)
+	case BMove, BZero:
 		return fmt.Sprintf("%-7s {%s} *n", op.Kind.String(), op.In.String())
 	}
 	return fmt.Sprintf("?%d", op.Kind)
 }
 
-// DisassembleBatch renders a batch instruction stream.
+// DisassembleBatch renders a compiled Program's run-op stream.
 func DisassembleBatch(ops []BatchOp) string {
 	var b strings.Builder
 	for i, op := range ops {

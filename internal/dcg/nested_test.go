@@ -1,6 +1,7 @@
 package dcg
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -45,7 +46,12 @@ func particleSchema(n int) *wire.Schema {
 // TestNestedCompiledMatchesInterpreted extends the central equivalence
 // property to nested structures across all architecture pairs.
 func TestNestedCompiledMatchesInterpreted(t *testing.T) {
-	s := particleSchema(4)
+	for _, s := range []*wire.Schema{particleSchema(4), particleSchema(20)} { // inlined, then a call
+		testNestedPairs(t, s)
+	}
+}
+
+func testNestedPairs(t *testing.T, s *wire.Schema) {
 	for _, from := range abi.All {
 		for _, to := range abi.All {
 			from, to := from, to
@@ -71,7 +77,11 @@ func TestNestedCompiledMatchesInterpreted(t *testing.T) {
 			}
 			if string(got.Buf) != string(want.Buf) {
 				t.Errorf("%s->%s: nested compiled and interpreted outputs differ\n%s",
-					from.Name, to.Name, Disassemble(prog.Code()))
+					from.Name, to.Name, DisassembleBatch(prog.Ops()))
+			}
+			if !bytes.Equal(dirtyConvert(t, prog, src.Buf), got.Buf) {
+				t.Errorf("%s->%s: nested output depends on the destination's prior contents\n%s",
+					from.Name, to.Name, DisassembleBatch(prog.Ops()))
 			}
 		}
 	}
@@ -89,7 +99,7 @@ func TestNestedProgramHasCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm := Disassemble(prog.Code())
+	asm := DisassembleBatch(prog.Ops())
 	if !strings.Contains(asm, "call") {
 		t.Errorf("large nested array compiled without a call instruction:\n%s", asm)
 	}
@@ -108,7 +118,7 @@ func TestNestedSmallCountInlined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asm := Disassemble(prog.Code())
+	asm := DisassembleBatch(prog.Ops())
 	if strings.Contains(asm, "call") {
 		t.Errorf("small nested array not inlined:\n%s", asm)
 	}

@@ -1,6 +1,7 @@
 package dcg
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -61,12 +62,18 @@ func TestPropertyRandomSchemas(t *testing.T) {
 		if err := prog.Convert(got.Buf, src.Buf); err != nil {
 			t.Fatalf("iter %d: dcg: %v", i, err)
 		}
-		// Compare destination FIELD bytes; padding content is undefined
-		// (the optimizer's gap fusion may copy source bytes into
-		// destination padding, which the interpreter leaves untouched).
+		// Compare destination FIELD bytes.  Padding is defined — the
+		// program writes every destination byte, so a dirty destination
+		// gets the same bytes — but not necessarily zero: the optimizer's
+		// gap fusion copies source padding through, where the interpreter
+		// leaves the destination's bytes untouched.
 		if diff := fieldBytesDiff(nf, got.Buf, want.Buf); diff != "" {
 			t.Fatalf("iter %d: %s->%s: interp and dcg disagree on %s\nplan:\n%s\ncode:\n%s",
-				i, from.Name, to.Name, diff, plan, Disassemble(prog.Code()))
+				i, from.Name, to.Name, diff, plan, DisassembleBatch(prog.Ops()))
+		}
+		if !bytes.Equal(dirtyConvert(t, prog, src.Buf), got.Buf) {
+			t.Fatalf("iter %d: %s->%s: output depends on the destination's prior contents\ncode:\n%s",
+				i, from.Name, to.Name, DisassembleBatch(prog.Ops()))
 		}
 
 		// Value preservation over the matched intersection.  Integer
@@ -100,7 +107,7 @@ func TestPropertyRandomSchemas(t *testing.T) {
 }
 
 // TestPropertyBatchAgainstInterp extends the random-schema property to
-// the fused batch engine: for random field layouts, random architecture
+// the batch entry point: for random field layouts, random architecture
 // pairs and batch sizes spanning one record to well past any word-fusion
 // boundary, ConvertBatch must agree field-for-field with the interpreted
 // converter run record by record.
@@ -132,9 +139,9 @@ func TestPropertyBatchAgainstInterp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: plan: %v", i, err)
 		}
-		bp, err := CompileBatch(plan)
+		bp, err := Compile(plan)
 		if err != nil {
-			t.Fatalf("iter %d: compile batch: %v", i, err)
+			t.Fatalf("iter %d: compile: %v", i, err)
 		}
 
 		src := make([]byte, n*wf.Size)
@@ -155,6 +162,11 @@ func TestPropertyBatchAgainstInterp(t *testing.T) {
 		}
 		if cnt != n {
 			t.Fatalf("iter %d: ConvertBatch converted %d of %d records", i, cnt, n)
+		}
+		dirty := bytes.Repeat([]byte{0xA5}, len(got))
+		if _, err := bp.ConvertBatch(dirty, src); err != nil || !bytes.Equal(dirty, got) {
+			t.Fatalf("iter %d: %s->%s: batch output depends on the destination's prior contents (err %v)",
+				i, from.Name, to.Name, err)
 		}
 		for r := 0; r < n; r++ {
 			if diff := fieldBytesDiff(nf, got[r*nf.Size:(r+1)*nf.Size], want[r*nf.Size:(r+1)*nf.Size]); diff != "" {

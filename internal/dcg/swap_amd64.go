@@ -23,8 +23,9 @@ var useSwapAsm = cpuHasSSSE3()
 func cpuHasSSSE3() bool
 
 // swapPSHUFB byte-reverses elements across n bytes (n > 0, n%16 == 0)
-// from src to dst using the given 16-byte shuffle mask.  dst and src
-// must not overlap.
+// from src to dst using the given 16-byte shuffle mask.  Each block is
+// loaded before it is stored, in ascending order, so dst may alias src
+// at the same or a lower address (in-place conversion).
 //
 //go:noescape
 func swapPSHUFB(dst, src *byte, n int, mask *byte)
@@ -33,12 +34,17 @@ func swapPSHUFB(dst, src *byte, n int, mask *byte)
 // can run on this machine.
 func shufAvailable() bool { return useSwapAsm }
 
-// shufBlocks shuffles n 16-byte blocks from src to dst, each through
-// its own control mask from masks (n blocks of 16 control bytes).  dst
-// and src must not overlap; n must be positive.
+// gatherBlocks builds nblk 16-byte destination blocks in each of n
+// records (dst stride ds, src stride ss), block k from up to two
+// 16-byte source windows: src+win[2k] through mask block k of masks,
+// ORed with src+win[2k+1] through mask block k of masksB unless that
+// offset is negative.  Each block's loads precede its store and blocks
+// go in ascending order, so a single record's dst may alias its src
+// when no block reads a source byte an earlier block has overwritten.
+// nblk and n must be positive; the caller bounds-checks both buffers.
 //
 //go:noescape
-func shufBlocks(dst, src, masks *byte, n int)
+func gatherBlocks(dst, src, masks, masksB *byte, win *int32, nblk, n, ds, ss int)
 
 // swapBlock converts the longest 16-byte-aligned prefix of a swap run
 // with the SIMD shuffle and returns how many bytes it handled; the

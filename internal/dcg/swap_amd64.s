@@ -52,41 +52,51 @@ loop16:
 done:
 	RET
 
-// func shufBlocks(dst, src, masks *byte, n int)
+// func gatherBlocks(dst, src, masks, masksB *byte, win *int32, nblk, n, ds, ss int)
 //
-// Applies n 16-byte PSHUFB control blocks from masks to n blocks of
-// src — a whole-record permutation program, one shuffle per block.
-// The two-block unroll overlaps the mask loads with the data loads.
-TEXT ·shufBlocks(SB), NOSPLIT, $0-32
+// For each of n records (dst stride ds, src stride ss) builds nblk
+// 16-byte destination blocks: block k loads 16 source bytes at
+// src+win[2k] and shuffles them through masks block k; when win[2k+1]
+// is not negative it also loads src+win[2k+1], shuffles that through
+// masksB block k and ORs the two (every lane is zero in at least one of
+// the pair).  Both loads happen before the block's store, and blocks go
+// in ascending order.
+TEXT ·gatherBlocks(SB), NOSPLIT, $0-72
 	MOVQ	dst+0(FP), DI
 	MOVQ	src+8(FP), SI
 	MOVQ	masks+16(FP), DX
-	MOVQ	n+24(FP), CX
+	MOVQ	masksB+24(FP), R9
+	MOVQ	nblk+40(FP), CX
+	SHLQ	$4, CX		// region bytes: 16 nblk
+	MOVQ	n+48(FP), R11
+	MOVQ	ds+56(FP), R12
+	MOVQ	ss+64(FP), R13
 
-blk2:
-	CMPQ	CX, $2
-	JB	blk1
-	MOVOU	(SI), X0
-	MOVOU	16(SI), X1
-	MOVOU	(DX), X2
-	MOVOU	16(DX), X3
+rec:
+	MOVQ	win+32(FP), R8
+	XORQ	R10, R10	// 16k: block k's offset in the record and the masks
+
+blk:
+	MOVLQSX	0(R8), AX
+	MOVLQSX	4(R8), BX
+	MOVOU	(SI)(AX*1), X0
+	MOVOU	(DX)(R10*1), X2
 	PSHUFB	X2, X0
+	TESTQ	BX, BX
+	JS	store
+	MOVOU	(SI)(BX*1), X1
+	MOVOU	(R9)(R10*1), X3
 	PSHUFB	X3, X1
-	MOVOU	X0, (DI)
-	MOVOU	X1, 16(DI)
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	ADDQ	$32, DX
-	SUBQ	$2, CX
-	JMP	blk2
+	POR	X1, X0
 
-blk1:
-	TESTQ	CX, CX
-	JZ	ret
-	MOVOU	(SI), X0
-	MOVOU	(DX), X2
-	PSHUFB	X2, X0
-	MOVOU	X0, (DI)
-
-ret:
+store:
+	MOVOU	X0, (DI)(R10*1)
+	ADDQ	$8, R8
+	ADDQ	$16, R10
+	CMPQ	R10, CX
+	JB	blk
+	ADDQ	R12, DI
+	ADDQ	R13, SI
+	DECQ	R11
+	JNZ	rec
 	RET

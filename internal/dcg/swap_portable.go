@@ -11,8 +11,8 @@ func swapBlock(width int, db, sb []byte) int { return 0 }
 // than emulating a byte permutation, so BShuf ops are never built.
 func shufAvailable() bool { return false }
 
-// shufBlocks is unreachable off amd64 — buildRecordShuffle is gated on
-// shufAvailable.
-func shufBlocks(dst, src, masks *byte, n int) {
+// gatherBlocks is unreachable off amd64 — buildRecordShuffle is gated
+// on shufAvailable.
+func gatherBlocks(dst, src, masks, masksB *byte, win *int32, nblk, n, ds, ss int) {
 	panic("dcg: shuffle program without SIMD support")
 }

@@ -229,12 +229,7 @@ func (r *Recorder) ChecksumFailure(subject string) { r.Emit(KindChecksumFailure,
 // DeadlineTimeout records a read or write that hit its deadline.
 func (r *Recorder) DeadlineTimeout(subject string) { r.Emit(KindDeadlineTimeout, subject, 0, 0, 0) }
 
-// DCGCompile records a conversion-program compilation and its latency.
-func (r *Recorder) DCGCompile(format string, nanos int64) {
-	r.Emit(KindDCGCompile, format, 0, nanos, 0)
-}
-
-// DCGBatchCompile records a batch conversion-program compilation: the
+// DCGBatchCompile records a conversion-program compilation: the
 // latency in arg1 and the fused shape — run-op count, word-wide swap ops
 // per record, per-record step fallbacks — packed into arg2 with
 // BatchShape.  Compiles are rare, so the shape rides in the journal

@@ -37,8 +37,8 @@ const (
 
 	// PBIO context events.
 	KindMetaRegister    // a format was laid out and registered in a context (arg1: record size)
-	KindDCGCompile      // a conversion program was compiled (arg1: compile nanos)
-	KindDCGBatchCompile // a batch conversion program was compiled (arg1: compile nanos; arg2: fused shape, see flightrec.BatchShape)
+	KindDCGCompile      // reserved: the retired per-record engine's compile event; kept so older journals still decode by name
+	KindDCGBatchCompile // a conversion program was compiled (arg1: compile nanos; arg2: fused shape, see flightrec.BatchShape)
 
 	numKinds
 )

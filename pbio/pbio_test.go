@@ -339,6 +339,69 @@ func TestDecodeInto(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoDirtyRecord pins the destination contract at the API:
+// decoding into a reused record that holds garbage — or the previous
+// record — yields exactly the bytes a fresh Decode does, padding
+// included.  The receiver's layout has alignment padding and a field
+// the sender lacks; the senders cover whole-record shuffles (big-endian,
+// same offsets) and shifted moves and swaps (x86's 4-byte doubles).
+func TestDecodeIntoDirtyRecord(t *testing.T) {
+	for _, sender := range []string{"sparc-v8", "x86", "ppc64", "x86-64"} {
+		t.Run(sender, func(t *testing.T) {
+			sctx := ctxFor(t, sender)
+			rctx := ctxFor(t, "x86-64")
+			sf, err := sctx.Register("dirty", F("seq", Int), F("v", Double),
+				Array("tag", Char, 3), F("n", Short), Array("w", Double, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rf, err := rctx.Register("dirty", F("seq", Int), F("v", Double),
+				Array("tag", Char, 3), F("extra", Long), F("n", Short), Array("w", Double, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			w := sctx.NewWriter(&buf)
+			for i := 0; i < 2; i++ {
+				rec := sf.NewRecord()
+				rec.MustSetInt("seq", 0, int64(100+i))
+				rec.MustSetFloat("v", 0, 1.5*float64(i+1))
+				rec.MustSetString("tag", "ab")
+				rec.MustSetInt("n", 0, -7)
+				for e := 0; e < 5; e++ {
+					rec.MustSetFloat("w", e, float64(e)-0.25)
+				}
+				if err := w.Write(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := rctx.NewReader(&buf)
+			defer r.Close()
+			reused := rf.NewRecord()
+			for i := range reused.Bytes() {
+				reused.Bytes()[i] = 0xA5
+			}
+			for i := 0; i < 2; i++ {
+				m, err := r.Read()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := m.Decode(rf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.DecodeInto(rf, reused); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(reused.Bytes(), fresh.Bytes()) {
+					t.Fatalf("record %d: DecodeInto a reused record gave\n% x\nfresh Decode gave\n% x",
+						i, reused.Bytes(), fresh.Bytes())
+				}
+			}
+		})
+	}
+}
+
 func TestContextOptionsValidation(t *testing.T) {
 	if _, err := NewContext(WithArch("pdp11")); err == nil {
 		t.Error("unknown arch accepted")

@@ -166,15 +166,16 @@ type Reader struct {
 	traceOffs map[*wire.Format]int
 
 	// Conversion memo: the last (wire format, expected format) pair this
-	// reader converted and the program/plan that did it.  Streams deliver
-	// long runs of one format, and the shared meta cache makes wire
-	// format pointers stable across streams, so pointer equality hits
-	// nearly always and skips the conversion-cache lock and map.
-	memoWF    *wire.Format
-	memoNF    *wire.Format
-	memoProg  *dcg.Program
-	memoPlan  *convert.Plan
-	memoBatch *dcg.BatchProgram
+	// reader converted and the program (or, in Interpreted mode, the
+	// plan) that did it.  Streams deliver long runs of one format, and
+	// the shared meta cache makes wire format pointers stable across
+	// streams, so pointer equality hits nearly always and skips the
+	// conversion-cache lock and map.  Per-record, batched and traced
+	// decodes share the one program.
+	memoWF   *wire.Format
+	memoNF   *wire.Format
+	memoProg *dcg.Program
+	memoPlan *convert.Plan
 }
 
 // NewReader returns a Reader over r.  Like NewWriter, the body stays
@@ -315,7 +316,8 @@ func (m *Message) View(expected *Format) (rec *Record, ok bool, err error) {
 }
 
 // program returns the generated conversion program from the message's
-// wire format to nf, consulting the reader's memo before the shared
+// wire format to nf — the one program every DCG decode runs, single
+// record or batch — consulting the reader's memo before the shared
 // cache.
 func (m *Message) program(nf *wire.Format) (*dcg.Program, error) {
 	if r := m.r; r != nil && r.memoWF == m.msg.Format && r.memoNF == nf && r.memoProg != nil {
@@ -326,9 +328,6 @@ func (m *Message) program(nf *wire.Format) (*dcg.Program, error) {
 		return nil, err
 	}
 	if r := m.r; r != nil {
-		if r.memoWF != m.msg.Format || r.memoNF != nf {
-			r.memoBatch = nil
-		}
 		r.memoWF, r.memoNF, r.memoProg, r.memoPlan = m.msg.Format, nf, prog, nil
 	}
 	return prog, nil
@@ -344,9 +343,6 @@ func (m *Message) interpPlan(nf *wire.Format) (*convert.Plan, error) {
 		return nil, err
 	}
 	if r := m.r; r != nil {
-		if r.memoWF != m.msg.Format || r.memoNF != nf {
-			r.memoBatch = nil
-		}
 		r.memoWF, r.memoNF, r.memoPlan, r.memoProg = m.msg.Format, nf, plan, nil
 	}
 	return plan, nil

@@ -150,11 +150,13 @@ func TestBatchDecodePathCounters(t *testing.T) {
 	var frameObs int64
 	for _, m := range reg.Snapshot() {
 		switch m.Name {
-		case "pbio_dcg_batch_cache_hits_total", "pbio_dcg_batch_cache_misses_total":
+		case "pbio_dcg_batch_cache_hits_total", "pbio_dcg_batch_cache_misses_total", "pbio_dcg_batch_compile_nanos":
+			t.Errorf("retired batch-only family %s still registered", m.Name)
+		case "pbio_dcg_cache_hits_total", "pbio_dcg_cache_misses_total":
 			for _, s := range m.Series {
 				families[m.Name] += s.Value
 			}
-		case "pbio_dcg_batch_compile_nanos":
+		case "pbio_dcg_compile_nanos":
 			for _, s := range m.Series {
 				families[m.Name] += s.Histogram.Count
 			}
@@ -168,11 +170,11 @@ func TestBatchDecodePathCounters(t *testing.T) {
 	}
 	// One compile (the miss); the second frame hits the reader memo, so
 	// the shared cache sees no more traffic.
-	if families["pbio_dcg_batch_cache_misses_total"] != 1 {
-		t.Errorf("batch cache misses = %d, want 1 (families: %v)", families["pbio_dcg_batch_cache_misses_total"], families)
+	if families["pbio_dcg_cache_misses_total"] != 1 {
+		t.Errorf("cache misses = %d, want 1 (families: %v)", families["pbio_dcg_cache_misses_total"], families)
 	}
-	if families["pbio_dcg_batch_compile_nanos"] != 1 {
-		t.Errorf("batch compiles observed = %d, want 1", families["pbio_dcg_batch_compile_nanos"])
+	if families["pbio_dcg_compile_nanos"] != 1 {
+		t.Errorf("compiles observed = %d, want 1", families["pbio_dcg_compile_nanos"])
 	}
 	// Latency is observed once per frame, not per record.
 	if frameObs != 2 {

@@ -252,15 +252,16 @@ func (m *Message) viewTraced(expected *Format) (*Record, bool, error) {
 }
 
 // convertTraced mirrors Message.convert with per-phase span recording:
-// match covers the plan/program lookup (building it on a cache miss),
-// convert covers the per-record execution.  Metric observations match
-// the untraced path so sampling does not skew the histograms.
+// match covers the plan/program lookup (the same reader memo the
+// untraced path consults, building it on a cache miss), convert covers
+// the per-record execution.  Metric observations match the untraced
+// path so sampling does not skew the histograms.
 func (m *Message) convertTraced(expected *Format, dst []byte) error {
 	ctx := m.ctx
 	switch ctx.mode {
 	case Interpreted:
 		t0 := time.Now()
-		plan, err := ctx.plan(m.msg.Format, expected.wf)
+		plan, err := m.interpPlan(expected.wf)
 		if err != nil {
 			return err
 		}
@@ -281,7 +282,7 @@ func (m *Message) convertTraced(expected *Format, dst []byte) error {
 		return nil
 	default:
 		t0 := time.Now()
-		prog, err := ctx.cache.Get(m.msg.Format, expected.wf)
+		prog, err := m.program(expected.wf)
 		if err != nil {
 			return err
 		}
