@@ -141,6 +141,20 @@ func TestOverlongFieldsTruncate(t *testing.T) {
 	}
 }
 
+// TestEveryKindNamed guards appended kinds against a missing kindNames
+// entry: a nameless kind would print as "Kind(n)" in every journal.
+func TestEveryKindNamed(t *testing.T) {
+	for k := KindNone + 1; k < numKinds; k++ {
+		name := k.String()
+		if strings.HasPrefix(name, "Kind(") {
+			t.Errorf("kind %d has no name", int32(k))
+		}
+		if got := KindName(int32(k)); got != name {
+			t.Errorf("KindName(%d) = %q, String() = %q", int32(k), got, name)
+		}
+	}
+}
+
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit(KindConnOpen, "x", 0, 0, 0)
@@ -148,6 +162,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.ConnClose("x")
 	r.ChecksumFailure("x")
 	r.DeadlineTimeout("x")
+	r.FormatLearned("x")
 	r.DCGBatchCompile("x", 1, 1, 0, 1)
 	if r.Seq() != 0 || r.Len() != 0 || r.Dropped() != 0 {
 		t.Error("nil recorder reports non-zero accounting")

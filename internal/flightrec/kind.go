@@ -40,6 +40,12 @@ const (
 	KindDCGCompile      // reserved: the retired per-record engine's compile event; kept so older journals still decode by name
 	KindDCGBatchCompile // a conversion program was compiled (arg1: compile nanos; arg2: fused shape, see flightrec.BatchShape)
 
+	// Appended after the PBIO context events; numbering above is fixed.
+	KindResync        // the relay skipped a corrupt producer frame and resynchronized
+	KindProducerDrop  // the relay dropped a producer (subject: the cause, truncated)
+	KindSubscription  // a consumer's subscription was applied (arg1: names, 0 for all)
+	KindFormatLearned // a stream's meta frame bound a format (subject: format name)
+
 	numKinds
 )
 
@@ -62,6 +68,10 @@ var kindNames = [...]string{
 	KindMetaRegister:     "MetaRegister",
 	KindDCGCompile:       "DCGCompile",
 	KindDCGBatchCompile:  "DCGBatchCompile",
+	KindResync:           "Resync",
+	KindProducerDrop:     "ProducerDrop",
+	KindSubscription:     "Subscription",
+	KindFormatLearned:    "FormatLearned",
 }
 
 // String returns the symbolic name of the kind, or "Kind(n)" for values

@@ -462,10 +462,10 @@ func TestMeshDropOldestExactAccounting(t *testing.T) {
 // TestMeshSubscriptionRouting: a consumer below one branch subscribes to
 // a single format name, the union propagates upstream, and the root then
 // forwards that branch only the subscribed format (meta still goes to
-// everyone).
+// everyone).  Each applied want-list is journaled with its name count.
 func TestMeshSubscriptionRouting(t *testing.T) {
 	leakcheck.Check(t)
-	m, err := New(Config{Shape: []int{1, 2}})
+	m, err := New(Config{Shape: []int{1, 2}, FlightCap: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,6 +499,15 @@ func TestMeshSubscriptionRouting(t *testing.T) {
 	}
 	waitFor("left hop to apply the subscription", func() bool { return left.Relay.SubscribedConsumers() == 1 })
 	waitFor("root to see the narrowed uplink", func() bool { return root.Relay.SubscribedConsumers() == 1 })
+	for _, h := range []*Hop{left, root} {
+		found := false
+		for _, e := range journalEvents(t, h) {
+			found = found || (e.Kind == flightrec.KindSubscription && e.Arg1 == 1)
+		}
+		if !found {
+			t.Errorf("%s: no one-name Subscription event in the flight journal", h.ID)
+		}
+	}
 
 	pc := m.AttachProducer(root)
 	pctx, err := pbio.NewContext(pbio.WithArch("x86-64"))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/flightrec"
 	"repro/internal/leakcheck"
 	"repro/pbio"
 )
@@ -135,6 +136,8 @@ func runChaos(t *testing.T, cp chaosProfile, seed int64) {
 	// consumer link is the one unprotected hop, and a corrupted format
 	// description silently mis-decodes every record that follows it.
 	s.SetChecksums(true)
+	rec := flightrec.New("chaos", 4096)
+	s.SetFlight(rec)
 	go func() { _ = s.ServeProducers(pln) }()
 	go func() { _ = s.ServeConsumers(cln) }()
 	defer func() {
@@ -339,6 +342,24 @@ func runChaos(t *testing.T, cp chaosProfile, seed int64) {
 		cp.name, valid, total*nConsumers, valid, st)
 	if !cp.lossy && (st.BadProducers != 0 || st.Resyncs != 0) {
 		t.Errorf("lossless profile recorded producer errors: %+v", st)
+	}
+	// Every resync, checksum failure and dropped producer the relay
+	// counted is journaled exactly once as its typed kind.  Producer
+	// handlers may still be unwinding after their peers hung up, so
+	// wait for the two books to agree.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st, n := s.Stats(), journalCounts(t, rec)
+		if n[flightrec.KindResync] == st.Resyncs &&
+			n[flightrec.KindChecksumFailure] == st.ChecksumFailures &&
+			n[flightrec.KindProducerDrop] == st.BadProducers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("journal Resync/ChecksumFailure/ProducerDrop = %d/%d/%d, relay stats %d/%d/%d",
+				n[flightrec.KindResync], n[flightrec.KindChecksumFailure], n[flightrec.KindProducerDrop],
+				st.Resyncs, st.ChecksumFailures, st.BadProducers)
+			break
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/abi"
+	"repro/internal/flightrec"
 	"repro/internal/native"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -322,6 +323,8 @@ func TestRelayDropsCorruptBatchAndContinues(t *testing.T) {
 		t.Skipf("no loopback listener: %v", err)
 	}
 	s := NewServer()
+	rec := flightrec.New("rebatch", 64)
+	s.SetFlight(rec)
 	go func() { _ = s.ServeProducers(pln) }()
 	go func() { _ = s.ServeConsumers(cln) }()
 	t.Cleanup(func() { pln.Close(); cln.Close(); s.Close() })
@@ -373,6 +376,9 @@ func TestRelayDropsCorruptBatchAndContinues(t *testing.T) {
 	st := s.Stats()
 	if st.ChecksumFailures != 1 {
 		t.Errorf("ChecksumFailures=%d, want 1", st.ChecksumFailures)
+	}
+	if n := journalCounts(t, rec)[flightrec.KindChecksumFailure]; n != 1 {
+		t.Errorf("journal has %d ChecksumFailure events, want 1", n)
 	}
 	if st.BadProducers != 0 {
 		t.Errorf("corrupt batch dropped the producer: %+v", st)

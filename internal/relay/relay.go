@@ -116,11 +116,6 @@ type Server struct {
 	scrapeMaxDepth atomic.Int64
 	scrapeStalled  atomic.Int64
 
-	// trace, when set (SetTelemetry), receives relay trace events:
-	// resyncs, dropped producers and consumers.  Atomic so telemetry can
-	// be attached without synchronizing with serving goroutines.
-	trace atomic.Pointer[telemetry.TraceRing]
-
 	// tracer, when set (SetTracing), records one relay-phase span per
 	// forwarded frame that carries wire trace context.  The relay never
 	// rewrites the frame — it reads the trailing trace field out of the
@@ -129,8 +124,10 @@ type Server struct {
 
 	// flight, when set (SetFlight), journals the relay's discrete
 	// events: consumer join/leave, policy drops, queue evictions, stall
-	// transitions, uplink attachment.  Atomic like trace/tracer; a nil
-	// recorder is a valid no-op sink.
+	// transitions, uplink attachment, resyncs, checksum failures,
+	// dropped producers and subscription changes.  Atomic like tracer,
+	// so it can be attached without synchronizing with serving
+	// goroutines; a nil recorder is a valid no-op sink.
 	flight atomic.Pointer[flightrec.Recorder]
 }
 
@@ -141,11 +138,6 @@ func (s *Server) SetFlight(r *flightrec.Recorder) {
 	if r != nil {
 		s.flight.Store(r)
 	}
-}
-
-// emitTrace sends a relay trace event if telemetry is attached.
-func (s *Server) emitTrace(name, detail string) {
-	s.trace.Load().Emit("relay", name, detail)
 }
 
 // SetTracing makes the relay participate in cross-hop traces: for every
@@ -764,12 +756,12 @@ func (s *Server) armProducerRead(conn net.Conn) {
 
 func (s *Server) noteResync() {
 	s.stats.resyncs.Add(1)
-	s.emitTrace("resync", "")
+	s.flight.Load().Emit(flightrec.KindResync, "", 0, 0, 0)
 }
 
 func (s *Server) noteChecksumFailure() {
 	s.stats.checksumFailures.Add(1)
-	s.emitTrace("checksum_failure", "")
+	s.flight.Load().Emit(flightrec.KindChecksumFailure, "producer", 0, 0, 0)
 }
 
 func (s *Server) noteBadProducer(cause error) {
@@ -777,7 +769,7 @@ func (s *Server) noteBadProducer(cause error) {
 	s.stats.errMu.Lock()
 	s.stats.lastProducerError = cause.Error()
 	s.stats.errMu.Unlock()
-	s.emitTrace("producer_dropped", cause.Error())
+	s.flight.Load().Emit(flightrec.KindProducerDrop, cause.Error(), 0, 0, 0)
 }
 
 // registerFormat adds a format to the relay space, recording its meta
@@ -917,11 +909,9 @@ func (s *Server) noteConsumerGone(c *consumer, policyDrop bool, reason string) {
 	}
 	if policyDrop {
 		s.stats.droppedConsumers.Add(1)
-		s.emitTrace("consumer_dropped", reason)
 		s.flight.Load().Emit(flightrec.KindPolicyDisconnect, reason, 0, 0, 0)
 	} else {
 		s.stats.disconnects.Add(1)
-		s.emitTrace("consumer_disconnect", reason)
 		s.flight.Load().Emit(flightrec.KindConsumerLeave, reason, 0, 0, 0)
 	}
 }
@@ -1103,7 +1093,7 @@ func (s *Server) setSubscription(c *consumer, sub transport.Subscription) {
 			c.q.push(outFrame{f: transport.Frame{Kind: transport.FrameSub, Payload: enc}})
 		}
 	}
-	s.emitTrace("subscription", "")
+	s.flight.Load().Emit(flightrec.KindSubscription, "", 0, int64(len(sub.Names)), 0)
 	s.notifyUplinks()
 }
 
@@ -1154,13 +1144,11 @@ func (s *Server) Consumers() int {
 
 // SetTelemetry exports the relay's counters on r as export-time-read
 // metric functions — the live counters stay the single source of truth,
-// nothing is double-counted — and routes relay trace events (resyncs,
-// dropped peers, subscription changes) into r's trace ring.
+// nothing is double-counted.
 func (s *Server) SetTelemetry(r *telemetry.Registry) {
 	if r == nil {
 		return
 	}
-	s.trace.Store(r.Trace())
 	r.CounterFunc("pbio_relay_frames_total", "Frames broadcast to consumers.", s.stats.frames.Load)
 	r.CounterFunc("pbio_relay_forwarded_bytes_total", "Payload bytes forwarded (payload size x subscribed consumers).", s.stats.forwardedBytes.Load)
 	r.CounterFunc("pbio_relay_bad_producers_total", "Producers dropped for protocol violations or corruption.", s.stats.badProducers.Load)

@@ -1,10 +1,12 @@
 package relay
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
 
+	"repro/internal/flightrec"
 	"repro/pbio"
 )
 
@@ -29,6 +31,28 @@ func startRelay(t *testing.T) (s *Server, prodAddr, consAddr string) {
 		s.Close()
 	})
 	return s, pln.Addr().String(), cln.Addr().String()
+}
+
+// journalCounts decodes rec's journal through the PBIO read path and
+// tallies its events by kind.
+func journalCounts(t *testing.T, rec *flightrec.Recorder) map[flightrec.Kind]int64 {
+	t.Helper()
+	if d := rec.Dropped(); d != 0 {
+		t.Fatalf("flight ring overwrote %d events; counts need a larger ring", d)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, err := flightrec.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := make(map[flightrec.Kind]int64)
+	for _, e := range events {
+		n[e.Kind]++
+	}
+	return n
 }
 
 func producerCtx(t *testing.T, arch string) (*pbio.Context, *pbio.Format) {

@@ -119,16 +119,9 @@ func escapeHelp(h string) string {
 // jsonSnapshot is the /debug/vars-style document.
 type jsonSnapshot struct {
 	Metrics []MetricSnapshot `json:"metrics"`
-	Trace   *traceSnapshot   `json:"trace,omitempty"`
 }
 
-type traceSnapshot struct {
-	Dropped int64   `json:"dropped"`
-	Events  []Event `json:"events"`
-}
-
-// WriteJSON renders every family (and optionally nothing else) as one
-// JSON document.
+// WriteJSON renders every family as one JSON document.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -163,7 +156,6 @@ func (r *Registry) Handle(pattern string, h http.Handler) {
 //
 //	/metrics            Prometheus text exposition
 //	/debug/vars         JSON metric snapshot (expvar-style)
-//	/debug/trace        JSON dump of the trace-event ring
 //	/debug/pprof/       net/http/pprof profiling endpoints
 //	plus any endpoints mounted with Handle (/debug/trace.json when a
 //	tracectx tracer is exported on this registry)
@@ -173,13 +165,6 @@ func (r *Registry) ServeMux() *http.ServeMux {
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		r.WriteJSON(w)
-	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		tr := r.Trace()
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(traceSnapshot{Dropped: tr.Dropped(), Events: tr.Snapshot()})
 	})
 	// net/http/pprof only self-registers on http.DefaultServeMux; wire
 	// its handlers into ours explicitly so daemons never expose a

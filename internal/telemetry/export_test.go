@@ -125,10 +125,13 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 }
 
 // TestServeMuxEndpoints drives the full observability surface over HTTP:
-// /metrics, /debug/vars, /debug/trace and /debug/pprof/.
+// /metrics, /debug/vars and /debug/pprof/, plus an endpoint mounted
+// with Handle.
 func TestServeMuxEndpoints(t *testing.T) {
 	r := goldenRegistry()
-	r.Trace().Emit("test", "hello", "world")
+	r.Handle("/debug/extra", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "extra")
+	}))
 	srv := httptest.NewServer(r.ServeMux())
 	defer srv.Close()
 
@@ -165,16 +168,17 @@ func TestServeMuxEndpoints(t *testing.T) {
 		t.Errorf("/debug/vars is not valid JSON")
 	}
 
-	body, _ = get("/debug/trace")
-	var tr struct {
-		Dropped int64   `json:"dropped"`
-		Events  []Event `json:"events"`
+	if body, _ = get("/debug/extra"); body != "extra" {
+		t.Errorf("/debug/extra = %q, want the mounted handler's body", body)
 	}
-	if err := json.Unmarshal([]byte(body), &tr); err != nil {
-		t.Fatalf("/debug/trace: %v", err)
+	// Rare events are served by the flight journal, not by this mux.
+	resp, err := http.Get(srv.URL + "/debug/trace")
+	if err != nil {
+		t.Fatalf("GET /debug/trace: %v", err)
 	}
-	if len(tr.Events) != 1 || tr.Events[0].Name != "hello" {
-		t.Errorf("/debug/trace events = %+v, want one 'hello'", tr.Events)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/trace: status %d, want 404", resp.StatusCode)
 	}
 
 	if body, _ = get("/debug/pprof/"); !strings.Contains(body, "profile") {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/abi"
 	"repro/internal/native"
@@ -129,6 +131,65 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 		if _, _, err := ReadFrame(bytes.NewReader(c), nil); err == nil || err == io.EOF {
 			t.Errorf("case %d accepted: %v", i, err)
 		}
+	}
+}
+
+// TestOversizedHeaderAllocatesByArrival: an 11-byte header claiming a
+// 1<<28 payload, followed by nothing, must cost memory in proportion to
+// the bytes that arrived rather than to the claim — through ReadFrame
+// and through Reader alike.
+func TestOversizedHeaderAllocatesByArrival(t *testing.T) {
+	var hdr [frameHeaderSize]byte
+	putHeader(hdr[:], FrameData, 1, 1<<28)
+	reads := map[string]func(io.Reader) error{
+		"ReadFrame": func(r io.Reader) error { _, _, err := ReadFrame(r, nil); return err },
+		"Reader":    func(r io.Reader) error { _, err := NewReader(r).ReadMessage(); return err },
+	}
+	for name, read := range reads {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read(bytes.NewReader(hdr[:]))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrPeerGone) {
+			t.Errorf("%s: err = %v, want peer gone", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: 11 bytes in allocated %d bytes, want < 1 MiB", name, n)
+		}
+	}
+}
+
+// TestLargePayloadGrowsAsBytesArrive: a payload past the eager bound,
+// delivered in small pieces, reads back intact through the growing
+// buffer, and the reused buffer then serves the next frame in place.
+func TestLargePayloadGrowsAsBytesArrive(t *testing.T) {
+	payload := make([]byte, 300_000)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	for i := 0; i < 2; i++ {
+		if err := WriteFrame(&buf, Frame{Kind: FrameData, FormatID: 1, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := iotest.HalfReader(&buf)
+	var scratch []byte
+	for i := 0; i < 2; i++ {
+		f, nbuf, err := ReadFrame(r, scratch)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(f.Payload, payload) {
+			t.Fatalf("frame %d: payload corrupted by growth", i)
+		}
+		if i == 1 && &nbuf[0] != &scratch[0] {
+			t.Error("second frame reallocated a buffer that already fit")
+		}
+		if cap(nbuf) > 2*len(payload) {
+			t.Errorf("frame %d: cap %d for a %d-byte payload", i, cap(nbuf), len(payload))
+		}
+		scratch = nbuf
 	}
 }
 

@@ -31,8 +31,8 @@ func fuzzStream(tb testing.TB, n int, sums bool) []byte {
 
 // FuzzReadFrame feeds arbitrary bytes to the frame parser.  Whatever
 // comes in, ReadFrame must not panic, must never return a payload larger
-// than its bounds, and any frame it accepts must survive a
-// write-then-reread round trip unchanged.
+// than its bounds or a buffer much larger than its input, and any frame
+// it accepts must survive a write-then-reread round trip unchanged.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(fuzzStream(f, 1, false))
 	f.Add(fuzzStream(f, 2, true))
@@ -46,7 +46,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{'P', 'B'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, _, err := ReadFrame(bytes.NewReader(data), nil)
+		fr, buf, err := ReadFrame(bytes.NewReader(data), nil)
+		// Memory follows the bytes that arrived, not the header's claim.
+		if bound := max(eagerPayload, 2*len(data)); cap(buf) > bound {
+			t.Fatalf("%d input bytes left a %d-byte buffer, bound %d", len(data), cap(buf), bound)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrPeerGone) && err != io.EOF {
 				t.Fatalf("untyped error: %v", err)

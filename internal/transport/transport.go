@@ -134,16 +134,54 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if k := f.BaseKind(); (k == FrameMeta || k == FrameMetaRef || k == FrameSub) && n > maxMetaPayload {
 		return Frame{}, buf, fmt.Errorf("transport: meta payload %d exceeds bound %d: %w", n, maxMetaPayload, ErrCorruptFrame)
 	}
-	if cap(buf) < n {
-		bufpool.Put(buf)
-		buf = bufpool.Get(n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readPayload(r, buf, n)
+	if err != nil {
 		return Frame{}, buf, fmt.Errorf("transport: read payload: %w: %w", err, ErrPeerGone)
 	}
 	f.Payload = buf
 	return f, buf, nil
+}
+
+// eagerPayload is the largest payload sized from the frame header
+// alone.  Larger claims get memory only as their bytes arrive.
+const eagerPayload = 64 << 10
+
+// readPayload reads an n-byte payload into buf and returns the buffer,
+// of length n on success.  When buf already holds n bytes, or n is at
+// most eagerPayload, it sizes the buffer once, as the header says.
+// Otherwise it grows capacity by doubling each time the buffer fills,
+// so a header claiming more than its peer sends costs at most about
+// twice the bytes that actually arrived.  Outgrown buffers go back to
+// the pool; the caller yields buf and keeps only the returned slice,
+// on error too.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if cap(buf) >= n || n <= eagerPayload {
+		if cap(buf) < n {
+			bufpool.Put(buf)
+			buf = bufpool.Get(n)
+		}
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = buf[:cap(buf)]
+	for have := 0; have < n; {
+		if have == len(buf) {
+			grown := bufpool.Get(min(n, max(2*len(buf), eagerPayload)))
+			copy(grown, buf[:have])
+			bufpool.Put(buf)
+			buf = grown[:cap(grown)]
+		}
+		end := min(n, len(buf))
+		if _, err := io.ReadFull(r, buf[have:end]); err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf[:have], err
+		}
+		have = end
+	}
+	return buf[:n], nil
 }
 
 // WriteFrame writes one frame.  Header and payload go out as a vectored
@@ -854,12 +892,8 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 		if (kind == msgMeta || kind == msgMetaRef || kind == FrameSub) && n > maxMetaPayload {
 			return fmt.Errorf("transport: meta payload %d exceeds bound %d: %w", n, maxMetaPayload, ErrCorruptFrame)
 		}
-		if cap(t.buf) < n {
-			bufpool.Put(t.buf)
-			t.buf = bufpool.Get(n)
-		}
-		t.buf = t.buf[:n]
-		if _, err := io.ReadFull(t.r, t.buf); err != nil {
+		var err error
+		if t.buf, err = readPayload(t.r, t.buf, n); err != nil {
 			t.m.noteIOError(err, "read payload")
 			return fmt.Errorf("transport: read payload: %w: %w", err, ErrPeerGone)
 		}
@@ -875,7 +909,6 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 		body := t.buf
 		if rawKind&FrameFlagSum != 0 {
 			f := Frame{Kind: rawKind, Payload: t.buf}
-			var err error
 			if body, err = f.Body(); err != nil {
 				if m := t.m; m != nil {
 					m.noteChecksumFailure(fmt.Sprintf("format %d kind %d", id, kind))
@@ -901,8 +934,8 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 			if err := t.formats.BindValidated(id, f); err != nil {
 				return fmt.Errorf("%w: %w", err, ErrProtocol)
 			}
-			if m := t.m; m != nil {
-				m.Trace.Emit("transport", "format_learned", f.Name)
+			if m := t.m; m != nil && m.Flight != nil {
+				m.Flight.FormatLearned(f.Name)
 			}
 		case msgMetaRef:
 			if t.resolver == nil {

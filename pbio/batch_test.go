@@ -412,7 +412,8 @@ func TestDecodeBatchWrongFormat(t *testing.T) {
 }
 
 // TestDecodeBatchFlightEvent checks that the first fused decode journals
-// a DCGBatchCompile event carrying the fused shape in its arg words.
+// a DCGBatchCompile event carrying the fused shape in its arg words, and
+// that the reader journaled the format it learned from the meta frame.
 func TestDecodeBatchFlightEvent(t *testing.T) {
 	stream := stageTicks(t, "sparc-v8", 3)
 	fr := flightrec.New("batch-test", 64)
@@ -435,8 +436,11 @@ func TestDecodeBatchFlightEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	found, learned := false, false
 	for _, ev := range events {
+		if ev.Kind == flightrec.KindFormatLearned && ev.Subject == "tick" {
+			learned = true
+		}
 		if ev.Kind != flightrec.KindDCGBatchCompile {
 			continue
 		}
@@ -451,6 +455,9 @@ func TestDecodeBatchFlightEvent(t *testing.T) {
 	}
 	if !found {
 		t.Error("no DCGBatchCompile event in the flight journal")
+	}
+	if !learned {
+		t.Error("no FormatLearned event for \"tick\" in the flight journal")
 	}
 }
 

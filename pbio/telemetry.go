@@ -9,11 +9,12 @@ import (
 )
 
 // WithFlightRecorder attaches a flight recorder to the context: format
-// registrations, DCG compilations and transport faults (checksum
-// failures, deadline timeouts) on the context's streams are journaled
-// as discrete events.  All emission sites are cold — registration,
-// compilation, error paths — so the recorder costs the hot path
-// nothing; see internal/flightrec for the journal itself.
+// registrations, DCG compilations, formats learned from a stream's meta
+// frames and transport faults (checksum failures, deadline timeouts) on
+// the context's streams are journaled as discrete events.  All emission
+// sites are cold — registration, compilation, meta frames, error paths
+// — so the recorder costs the hot path nothing; see internal/flightrec
+// for the journal itself.
 func WithFlightRecorder(r *flightrec.Recorder) Option {
 	return func(c *Context) error {
 		c.flight = r
