@@ -57,6 +57,9 @@ func TestTraceE2EThroughRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cconn.Close()
+	// Dial returns once the kernel accepts; the relay registers the
+	// consumer later, and a broadcast before then would skip it.
+	waitFor(t, "the consumer to register", func() bool { return s.Consumers() == 1 })
 	rctx, err := pbio.NewContext(pbio.WithArch("sparc-v9-64"), pbio.WithTracer(recvTr))
 	if err != nil {
 		t.Fatal(err)

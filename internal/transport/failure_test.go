@@ -193,6 +193,30 @@ func TestLargePayloadGrowsAsBytesArrive(t *testing.T) {
 	}
 }
 
+// TestReadFrameSteadyStateAllocs: with a warm buffer, ReadFrame reads
+// a small frame without allocating — the header lands in the caller's
+// buffer, not in a fresh array per frame.
+func TestReadFrameSteadyStateAllocs(t *testing.T) {
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, Frame{Kind: FrameData, FormatID: 1, Payload: make([]byte, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	frame := stream.Bytes()
+	r := bytes.NewReader(frame)
+	var buf []byte
+	got := testing.AllocsPerRun(200, func() {
+		r.Reset(frame)
+		f, nbuf, err := ReadFrame(r, buf)
+		if err != nil || len(f.Payload) != 100 {
+			t.Fatalf("ReadFrame: %d-byte payload, err %v", len(f.Payload), err)
+		}
+		buf = nbuf
+	})
+	if got != 0 {
+		t.Errorf("ReadFrame allocates %.1f per 100 B frame with a warm buffer, want 0", got)
+	}
+}
+
 func TestWriteFrameToFailingSink(t *testing.T) {
 	f := Frame{Kind: FrameData, FormatID: 1, Payload: make([]byte, 100)}
 	for _, n := range []int{0, 5, 11, 50} {

@@ -115,31 +115,50 @@ func SumPayload(body []byte) []byte {
 // — the caller yields ownership of buf and must use only the returned
 // slice.  io.EOF is returned untouched at a clean frame boundary.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [frameHeaderSize]byte
+	// The header is read into buf itself, so a warm buffer makes the
+	// whole read allocation-free.
+	if cap(buf) < frameHeaderSize {
+		bufpool.Put(buf)
+		buf = bufpool.Get(frameHeaderSize)
+	}
+	kind, id, buf, err := readFrame(r, nil, (*[frameHeaderSize]byte)(buf[:frameHeaderSize]), buf)
+	if err != nil {
+		return Frame{}, buf, err
+	}
+	return Frame{Kind: kind, FormatID: id, Payload: buf}, buf, nil
+}
+
+// readFrame reads one frame: the header into hdr, checked for the magic,
+// a payload length in range and the meta bound, then the payload into
+// buf through readPayload.  hdr may alias buf; it is parsed before the
+// payload overwrites it.  I/O errors are noted on m (nil: none) under
+// the phase that hit them, and io.EOF at a clean frame boundary is
+// returned untouched.  The caller yields buf and keeps only the returned
+// payload slice, on error too.
+func readFrame(r io.Reader, m *Metrics, hdr *[frameHeaderSize]byte, buf []byte) (kind byte, id uint32, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return Frame{}, buf, io.EOF
+			return 0, 0, buf, io.EOF
 		}
-		return Frame{}, buf, fmt.Errorf("transport: read header: %w: %w", err, ErrPeerGone)
+		m.noteIOError(err, "read header")
+		return 0, 0, buf, fmt.Errorf("transport: read header: %w: %w", err, ErrPeerGone)
 	}
 	if wire.BeUint16(hdr[:]) != frameMagic {
-		return Frame{}, buf, fmt.Errorf("transport: bad frame magic %#x%02x: %w", hdr[0], hdr[1], ErrCorruptFrame)
+		return 0, 0, buf, fmt.Errorf("transport: bad frame magic %#x%02x: %w", hdr[0], hdr[1], ErrCorruptFrame)
 	}
-	f := Frame{Kind: hdr[2]}
-	f.FormatID = wire.BeUint32(hdr[3:])
+	kind, id = hdr[2], wire.BeUint32(hdr[3:])
 	n := int(wire.BeUint32(hdr[7:]))
 	if n < 0 || n > maxPayload {
-		return Frame{}, buf, fmt.Errorf("transport: frame payload %d out of range: %w", n, ErrCorruptFrame)
+		return 0, 0, buf, fmt.Errorf("transport: frame payload %d out of range: %w", n, ErrCorruptFrame)
 	}
-	if k := f.BaseKind(); (k == FrameMeta || k == FrameMetaRef || k == FrameSub) && n > maxMetaPayload {
-		return Frame{}, buf, fmt.Errorf("transport: meta payload %d exceeds bound %d: %w", n, maxMetaPayload, ErrCorruptFrame)
+	if k := kind &^ FrameFlagSum; (k == FrameMeta || k == FrameMetaRef || k == FrameSub) && n > maxMetaPayload {
+		return 0, 0, buf, fmt.Errorf("transport: meta payload %d exceeds bound %d: %w", n, maxMetaPayload, ErrCorruptFrame)
 	}
-	buf, err := readPayload(r, buf, n)
-	if err != nil {
-		return Frame{}, buf, fmt.Errorf("transport: read payload: %w: %w", err, ErrPeerGone)
+	if buf, err = readPayload(r, buf, n); err != nil {
+		m.noteIOError(err, "read payload")
+		return 0, 0, buf, fmt.Errorf("transport: read payload: %w: %w", err, ErrPeerGone)
 	}
-	f.Payload = buf
-	return f, buf, nil
+	return kind, id, buf, nil
 }
 
 // eagerPayload is the largest payload sized from the frame header
@@ -872,31 +891,13 @@ func (t *Reader) ReadMessageInto(m *Message) error {
 	wireBytes := 0
 	for {
 		t.armRead()
-		if _, err := io.ReadFull(t.r, t.hdr[:]); err != nil {
-			if err == io.EOF {
-				return io.EOF
-			}
-			t.m.noteIOError(err, "read header")
-			return fmt.Errorf("transport: read header: %w: %w", err, ErrPeerGone)
+		rawKind, id, buf, err := readFrame(t.r, t.m, &t.hdr, t.buf)
+		t.buf = buf
+		if err != nil {
+			return err
 		}
-		if wire.BeUint16(t.hdr[:]) != frameMagic {
-			return fmt.Errorf("transport: bad frame magic %#x%02x: %w", t.hdr[0], t.hdr[1], ErrCorruptFrame)
-		}
-		rawKind := t.hdr[2]
 		kind := rawKind &^ FrameFlagSum
-		id := wire.BeUint32(t.hdr[3:])
-		n := int(wire.BeUint32(t.hdr[7:]))
-		if n < 0 || n > maxPayload {
-			return fmt.Errorf("transport: frame payload %d out of range: %w", n, ErrCorruptFrame)
-		}
-		if (kind == msgMeta || kind == msgMetaRef || kind == FrameSub) && n > maxMetaPayload {
-			return fmt.Errorf("transport: meta payload %d exceeds bound %d: %w", n, maxMetaPayload, ErrCorruptFrame)
-		}
-		var err error
-		if t.buf, err = readPayload(t.r, t.buf, n); err != nil {
-			t.m.noteIOError(err, "read payload")
-			return fmt.Errorf("transport: read payload: %w: %w", err, ErrPeerGone)
-		}
+		n := len(buf)
 		wireBytes += frameHeaderSize + n
 		if m := t.m; m != nil {
 			m.FramesRead.Inc()

@@ -115,41 +115,36 @@ func (m *Message) DecodeBatch(expected *Format, out *RecordBatch) (int, error) {
 // convertBatch runs the context's conversion engine over a whole batch
 // payload.  The interpreted engine has no fused form; it hoists the plan
 // and interpreter out of the loop and converts record by record, which
-// keeps the Interpreted-mode baseline honest in benchmarks.
+// keeps the Interpreted-mode baseline honest in benchmarks.  Only the
+// fused path observes a latency, and only with metrics on.
 func (m *Message) convertBatch(expected *Format, dst, src []byte, n int) error {
-	ws, ns := m.msg.Format.Size, expected.wf.Size
-	if m.ctx.mode == Interpreted {
-		plan, err := m.interpPlan(expected.wf)
-		if err != nil {
-			return err
-		}
-		it := convert.NewInterp(plan)
-		if m.ctx.met.enabled {
-			it.SetMetrics(m.ctx.convMet)
-		}
+	met := m.ctx.met
+	e, err := m.lookupEngine(expected.wf)
+	if err != nil {
+		return err
+	}
+	if e.plan != nil {
+		it := convert.NewInterp(e.plan)
+		it.SetMetrics(m.ctx.convMet)
+		ws, ns := m.msg.Format.Size, expected.wf.Size
 		for i := 0; i < n; i++ {
 			if err := it.Convert(dst[i*ns:(i+1)*ns], src[i*ws:(i+1)*ws]); err != nil {
 				return err
 			}
 		}
-		if m.ctx.met.enabled {
-			expected.met.decInterp.Add(int64(n))
-		}
+		expected.met.decInterp.Add(int64(n))
 		return nil
 	}
-	prog, err := m.program(expected.wf)
-	if err != nil {
+	var start time.Time
+	if met.enabled {
+		start = time.Now()
+	}
+	if _, err := e.prog.ConvertBatch(dst, src); err != nil {
 		return err
 	}
-	if m.ctx.met.enabled {
-		start := time.Now()
-		if _, err := prog.ConvertBatch(dst, src); err != nil {
-			return err
-		}
+	if met.enabled {
 		expected.met.decBatch.Add(int64(n))
-		m.ctx.met.dcgBatchNanos.Observe(time.Since(start).Nanoseconds())
-		return nil
+		met.dcgBatchNanos.Observe(time.Since(start).Nanoseconds())
 	}
-	_, err = prog.ConvertBatch(dst, src)
-	return err
+	return nil
 }

@@ -202,6 +202,45 @@ func TestPhaseBatchSpansSizeFlush(t *testing.T) {
 	}
 }
 
+// TestPhaseBatchSpansAfterUntraceable pins the seq accounting across
+// the untraceable-format fallback: sampled records of a format that
+// cannot carry a trace field still go through the batch and must
+// advance the writer's sequence, or the next traced record enrolls
+// under a stale number and the format-change flush of the previous
+// batch drains its span before the record has left.
+func TestPhaseBatchSpansAfterUntraceable(t *testing.T) {
+	sctx, tr := traceCtxFor(t, "sparc-v8", "sender")
+	odd, err := sctx.Register("odd", F("x", Int), Array("__pbio_trace", ULongLong, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := batchFormat(t, sctx)
+	var stream bytes.Buffer
+	w := sctx.NewWriter(&stream)
+	if err := w.SetBatching(1<<16, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.Write(odd.NewRecord()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The format change flushes the three odd records, not this one.
+	if err := w.Write(f.NewRecord()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(spansNamed(tr.Collector().Snapshot(), tracectx.PhaseBatch)); got != 0 {
+		t.Fatalf("%d batch spans before the tick record was flushed, want 0", got)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	spans := spansNamed(tr.Collector().Snapshot(), tracectx.PhaseBatch)
+	if len(spans) != 1 || spans[0].Format != "tick" {
+		t.Fatalf("after flush: batch spans %+v, want one for tick", spans)
+	}
+}
+
 // stageTicks writes n distinct tick records as one batch frame from a
 // sparc-v8 (or given arch) sender and returns the raw stream.
 func stageTicks(t *testing.T, arch string, n int) []byte {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/convert"
 	"repro/internal/dcg"
+	"repro/internal/telemetry/tracectx"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -19,10 +20,13 @@ type Writer struct {
 	ctx *Context
 	tw  *transport.Writer
 
-	// traceBuf is the scratch image for sampled sends (see writeTraced):
+	// traceBuf is the scratch image for sampled sends (see extendTraced):
 	// the record's bytes plus the trailing trace field, reused across
-	// writes so tracing steady-state allocates nothing.
+	// writes so tracing steady-state allocates nothing.  sending holds
+	// the in-flight sampled record's IDs and stamps until its spans are
+	// recorded.
 	traceBuf []byte
+	sending  sendTrace
 
 	// Batching bookkeeping (see SetBatching).  When coalescing is on,
 	// every record passes through the transport's pending batch; writeSeq
@@ -95,23 +99,31 @@ func (w *Writer) SetBatching(maxBytes int, maxDelay time.Duration) error {
 // is pending.
 func (w *Writer) Flush() error { return w.tw.Flush() }
 
-// Write transmits one record.
+// Write transmits one record.  A record the tracer samples takes the
+// same path as every other: it only swaps in its trace-extended image
+// (see extendTraced) before the WriteRecord call, and its send-side
+// spans are recorded once it has left.
 //
 //pbio:hotpath noalloc=0 steady-state send path; pinned by pbio/alloc_test.go (TestAllocsSteadyStateWrite, TestAllocsBatchedWrite)
 func (w *Writer) Write(rec *Record) error {
-	if rec.fmt.ctx != w.ctx {
+	f := rec.fmt
+	if f.ctx != w.ctx {
 		return fmt.Errorf("pbio: record's format belongs to a different context")
 	}
+	wf, img, sampled := f.wf, rec.rec.Buf, false
 	if tr := w.ctx.tracer; tr != nil && tr.Sample() {
-		return w.writeTraced(rec, tr)
+		wf, img, sampled = w.extendTraced(rec, tr)
 	}
-	if err := w.tw.WriteRecord(rec.fmt.wf, rec.rec.Buf); err != nil {
+	if err := w.tw.WriteRecord(wf, img); err != nil {
 		return err
 	}
 	if w.batching {
 		w.writeSeq++
 	}
-	rec.fmt.met.sent.Inc()
+	f.met.sent.Inc()
+	if sampled {
+		w.recordSendSpans(f.wf.Name)
+	}
 	return nil
 }
 
@@ -166,16 +178,13 @@ type Reader struct {
 	traceOffs map[*wire.Format]int
 
 	// Conversion memo: the last (wire format, expected format) pair this
-	// reader converted and the program (or, in Interpreted mode, the
-	// plan) that did it.  Streams deliver long runs of one format, and
-	// the shared meta cache makes wire format pointers stable across
-	// streams, so pointer equality hits nearly always and skips the
-	// conversion-cache lock and map.  Per-record, batched and traced
-	// decodes share the one program.
-	memoWF   *wire.Format
-	memoNF   *wire.Format
-	memoProg *dcg.Program
-	memoPlan *convert.Plan
+	// reader converted and the engine that did it.  Streams deliver long
+	// runs of one format, and the shared meta cache makes wire format
+	// pointers stable across streams, so pointer equality hits nearly
+	// always and skips the conversion-cache lock and map.  Per-record,
+	// batched and traced decodes share the one engine.
+	memoWF, memoNF *wire.Format
+	memo           engine
 }
 
 // NewReader returns a Reader over r.  Like NewWriter, the body stays
@@ -300,100 +309,112 @@ func (m *Message) DecodeInto(expected *Format, out *Record) error {
 // homogeneous path).  The returned record aliases the receive buffer and
 // is valid only until the next Read.  ok is false when conversion would
 // be required; use Decode then.
+//
+// A traced message travels under the trace-extended format, so it is
+// compared against the expected format's own trace-extended variant.
+// When those agree the base record is a clean prefix of the wire bytes
+// (appending a field never moves earlier offsets) and is viewed in
+// place like any other homogeneous record.
 func (m *Message) View(expected *Format) (rec *Record, ok bool, err error) {
+	layout := expected.wf
+	var t0 time.Time
 	if m.traced {
-		return m.viewTraced(expected)
+		twf, _, err := expected.tracedFormat()
+		if err != nil {
+			return nil, false, nil
+		}
+		layout, t0 = twf, time.Now()
 	}
-	if !m.SameLayout(expected) {
+	if !wire.SameLayout(m.msg.Format, layout) {
 		return nil, false, nil
 	}
-	rec, err = expected.view(m.msg.Data)
+	rec, err = expected.view(m.msg.Data[:expected.wf.Size])
 	if err != nil {
 		return nil, false, err
 	}
 	expected.met.decZero.Inc()
+	if m.traced {
+		m.recSpan(tracectx.PhaseView, t0, time.Now(), pathZeroCopy)
+	}
 	return rec, true, nil
 }
 
-// program returns the generated conversion program from the message's
-// wire format to nf — the one program every DCG decode runs, single
-// record or batch — consulting the reader's memo before the shared
-// cache.
-func (m *Message) program(nf *wire.Format) (*dcg.Program, error) {
-	if r := m.r; r != nil && r.memoWF == m.msg.Format && r.memoNF == nf && r.memoProg != nil {
-		return r.memoProg, nil
-	}
-	prog, err := m.ctx.cache.Get(m.msg.Format, nf)
-	if err != nil {
-		return nil, err
-	}
-	if r := m.r; r != nil {
-		r.memoWF, r.memoNF, r.memoProg, r.memoPlan = m.msg.Format, nf, prog, nil
-	}
-	return prog, nil
+// engine is a conversion from one wire format to one native format:
+// the generated program, or in Interpreted mode the interpreter's plan
+// (the other field is nil).
+type engine struct {
+	prog *dcg.Program
+	plan *convert.Plan
 }
 
-// interpPlan is program's counterpart for the interpreted engine.
-func (m *Message) interpPlan(nf *wire.Format) (*convert.Plan, error) {
-	if r := m.r; r != nil && r.memoWF == m.msg.Format && r.memoNF == nf && r.memoPlan != nil {
-		return r.memoPlan, nil
+// lookupEngine returns the conversion from the message's wire format to nf —
+// the one engine every decode runs, single record or batch, traced or
+// not — consulting the reader's memo before the shared cache.
+func (m *Message) lookupEngine(nf *wire.Format) (engine, error) {
+	wf := m.msg.Format
+	if r := m.r; r != nil && r.memoWF == wf && r.memoNF == nf {
+		return r.memo, nil
 	}
-	plan, err := m.ctx.plan(m.msg.Format, nf)
-	if err != nil {
-		return nil, err
-	}
-	if r := m.r; r != nil {
-		r.memoWF, r.memoNF, r.memoPlan, r.memoProg = m.msg.Format, nf, plan, nil
-	}
-	return plan, nil
-}
-
-// convert runs the context's conversion engine from the message buffer
-// into dst.
-func (m *Message) convert(expected *Format, dst []byte) error {
-	if m.traced {
-		// Sampled messages take the instrumented copy of this path (see
-		// trace.go) so the untraced hot path below stays branch-lean.
-		return m.convertTraced(expected, dst)
-	}
-	switch m.ctx.mode {
-	case Interpreted:
+	var e engine
+	var err error
+	if m.ctx.mode == Interpreted {
 		// The interpreted baseline still computes its field table once
 		// per wire format (as pre-DCG PBIO did); only the per-record
 		// execution is interpreted.
-		plan, err := m.interpPlan(expected.wf)
-		if err != nil {
-			return err
-		}
-		it := convert.NewInterp(plan)
-		if m.ctx.met.enabled {
-			// The interpreter times itself (pbio_convert_interp_nanos);
-			// the decode histogram gets the same observation under the
-			// path label so regimes compare side by side.
-			it.SetMetrics(m.ctx.convMet)
-			start := time.Now()
-			err = it.Convert(dst, m.msg.Data)
-			if err == nil {
-				expected.met.decInterp.Inc()
-				m.ctx.met.interpNanos.Observe(time.Since(start).Nanoseconds())
-			}
-			return err
-		}
-		return it.Convert(dst, m.msg.Data)
-	default:
-		prog, err := m.program(expected.wf)
-		if err != nil {
-			return err
-		}
-		if m.ctx.met.enabled {
-			start := time.Now()
-			err = prog.Convert(dst, m.msg.Data)
-			if err == nil {
-				expected.met.decDCG.Inc()
-				m.ctx.met.dcgNanos.Observe(time.Since(start).Nanoseconds())
-			}
-			return err
-		}
-		return prog.Convert(dst, m.msg.Data)
+		e.plan, err = m.ctx.plan(wf, nf)
+	} else {
+		e.prog, err = m.ctx.cache.Get(wf, nf)
 	}
+	if err != nil {
+		return engine{}, err
+	}
+	if r := m.r; r != nil {
+		r.memoWF, r.memoNF, r.memo = wf, nf, e
+	}
+	return e, nil
+}
+
+// convert runs the context's conversion engine from the message buffer
+// into dst.  The clock is read only for a traced message or with
+// metrics on; both then get the same decode count and latency
+// observation, so sampling does not skew the histograms.  A traced
+// message also records its match (engine lookup) and convert spans.
+func (m *Message) convert(expected *Format, dst []byte) error {
+	met := m.ctx.met
+	timed := m.traced || met.enabled
+	var t0, t1 time.Time
+	if m.traced {
+		t0 = time.Now()
+	}
+	e, err := m.lookupEngine(expected.wf)
+	if err != nil {
+		return err
+	}
+	if timed {
+		t1 = time.Now()
+	}
+	if e.plan != nil {
+		// With metrics on, the interpreter also times itself
+		// (pbio_convert_interp_nanos).
+		it := convert.NewInterp(e.plan)
+		it.SetMetrics(m.ctx.convMet)
+		err = it.Convert(dst, m.msg.Data)
+	} else {
+		err = e.prog.Convert(dst, m.msg.Data)
+	}
+	if err != nil || !timed {
+		return err
+	}
+	t2 := time.Now()
+	path, decodes, nanos := pathDCG, expected.met.decDCG, met.dcgNanos
+	if e.plan != nil {
+		path, decodes, nanos = pathInterp, expected.met.decInterp, met.interpNanos
+	}
+	decodes.Inc()
+	nanos.Observe(t2.Sub(t1).Nanoseconds())
+	if m.traced {
+		m.recSpan(tracectx.PhaseMatch, t0, t1, path)
+		m.recSpan(tracectx.PhaseConv, t1, t2, path)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package pbio_test
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -320,5 +321,105 @@ func TestTelemetryDisabled(t *testing.T) {
 	}
 	if ctx.Telemetry() != nil {
 		t.Fatal("telemetry should be nil by default")
+	}
+}
+
+// TestTracedDecodeMetricParity: sampling must not skew the decode
+// metrics.  The same records decoded from a rate-1 traced stream and
+// from an untraced one, on a tracing receiver, land on the same
+// pbio_decodes_total{format,path} counts and the same number of
+// pbio_decode_nanos observations per path, for each receive regime.
+func TestTracedDecodeMetricParity(t *testing.T) {
+	const n = 5
+	regimes := []struct {
+		path               string
+		sendArch, recvArch string
+		mode               pbio.ConvMode
+	}{
+		{"dcg", "sparc-v8", "x86-64", pbio.Generated},
+		{"interp", "sparc-v8", "x86-64", pbio.Interpreted},
+		{"zero_copy", "x86-64", "x86-64", pbio.Generated},
+	}
+	for _, rg := range regimes {
+		t.Run(rg.path, func(t *testing.T) {
+			decode := func(traced bool) (map[string]int64, map[string]int64) {
+				var sopts []pbio.Option
+				if traced {
+					sopts = append(sopts, pbio.WithTracing(1))
+				}
+				sctx, err := pbio.NewContext(append(sopts, pbio.WithArch(rg.sendArch))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sf, err := sctx.Register("telem_rec", telemetryFields()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var stream bytes.Buffer
+				w := sctx.NewWriter(&stream)
+				rec := sf.NewRecord()
+				for i := 0; i < n; i++ {
+					rec.MustSetInt("node", 0, int64(i))
+					if err := w.Write(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				reg := telemetry.NewRegistry()
+				rctx, err := pbio.NewContext(pbio.WithArch(rg.recvArch), pbio.WithConversion(rg.mode),
+					pbio.WithTelemetry(reg), pbio.WithTracing(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rf, err := rctx.Register("telem_rec", telemetryFields()...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rctx.NewReader(&stream)
+				out := rf.NewRecord()
+				for i := 0; i < n; i++ {
+					m, err := r.Read()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, ok := m.TraceID(); ok != traced {
+						t.Fatalf("record %d: traced = %v, want %v", i, ok, traced)
+					}
+					got := out
+					if rg.path == "zero_copy" {
+						v, ok, err := m.View(rf)
+						if err != nil || !ok {
+							t.Fatalf("record %d: View ok=%v err=%v", i, ok, err)
+						}
+						got = v
+					} else if err := m.DecodeInto(rf, out); err != nil {
+						t.Fatal(err)
+					}
+					if v, _ := got.Int("node", 0); v != int64(i) {
+						t.Fatalf("record %d: node = %d", i, v)
+					}
+				}
+				obs := make(map[string]int64)
+				for _, m := range reg.Snapshot() {
+					if m.Name == "pbio_decode_nanos" {
+						for _, s := range m.Series {
+							obs[s.Labels["path"]] += s.Histogram.Count
+						}
+					}
+				}
+				return decodesByPath(reg, "telem_rec"), obs
+			}
+			plainDec, plainObs := decode(false)
+			tracedDec, tracedObs := decode(true)
+			if plainDec[rg.path] != n {
+				t.Fatalf("untraced decodes = %v, want %s=%d", plainDec, rg.path, n)
+			}
+			if !maps.Equal(plainDec, tracedDec) {
+				t.Errorf("decodes: untraced %v, traced %v", plainDec, tracedDec)
+			}
+			if !maps.Equal(plainObs, tracedObs) {
+				t.Errorf("decode_nanos observations: untraced %v, traced %v", plainObs, tracedObs)
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/convert"
 	"repro/internal/telemetry/tracectx"
 	"repro/internal/wire"
 )
@@ -27,8 +26,10 @@ import (
 // joining each process's exported spans on the trace ID (cmd/pbio-trace
 // or Perfetto over /debug/trace.json).
 //
-// With tracing disabled (the default) the send path costs one nil-check
-// branch and the receive path one boolean test per message; head-based
+// A sampled record takes the same Write, View and convert as any other
+// record; only its format, its image and its spans differ.  With
+// tracing disabled (the default) the send path costs one nil-check
+// branch and the receive path one boolean test per decode; head-based
 // sampling (WithTracing's rate) bounds the cost when enabled.
 
 // WithTracing enables cross-hop tracing with head-based sampling: each
@@ -93,31 +94,38 @@ func (f *Format) tracedFormat() (*wire.Format, int, error) {
 	return f.traceWF, f.traceOff, f.traceErr
 }
 
-// writeTraced transmits one sampled record under the trace-extended
-// format, recording the sender-side phase spans (extend, frame, and the
-// covering send root).
-func (w *Writer) writeTraced(rec *Record, tr *tracectx.Tracer) error {
+// sendTrace is the trace state of a sampled record between
+// extendTraced and recordSendSpans: its trace ID, its root send span,
+// and the start of the extend and frame phases.
+type sendTrace struct {
+	trace, root uint64
+	extend      time.Time
+	frame       time.Time
+}
+
+// extendTraced builds the trace-extended image of a sampled record in
+// the writer's scratch buffer: the record's bytes, then the trace field
+// carrying a fresh trace ID, the root send span and the send stamp.
+// When batching, it enrolls the record for its batch span.  A format
+// that cannot carry a trace field goes out untraced rather than fail a
+// write that would have succeeded without tracing: sampled is false
+// and the record's own format and bytes come back.
+func (w *Writer) extendTraced(rec *Record, tr *tracectx.Tracer) (wf *wire.Format, img []byte, sampled bool) {
 	t0 := time.Now()
 	f := rec.fmt
 	twf, off, err := f.tracedFormat()
 	if err != nil {
-		// The format cannot be extended; send untraced rather than fail
-		// a write that would have succeeded without tracing.
-		if err := w.tw.WriteRecord(f.wf, rec.rec.Buf); err != nil {
-			return err
-		}
-		f.met.sent.Inc()
-		return nil
+		return f.wf, rec.rec.Buf, false
 	}
 	traceID, root := tr.NewID(), tr.NewID()
 	if cap(w.traceBuf) < twf.Size {
 		w.traceBuf = make([]byte, twf.Size)
 	}
-	buf := w.traceBuf[:twf.Size]
-	n := copy(buf, rec.rec.Buf)
-	clear(buf[n:])
+	img = w.traceBuf[:twf.Size]
+	n := copy(img, rec.rec.Buf)
+	clear(img[n:])
 	t1 := time.Now()
-	wire.PutTraceContext(buf, twf.Order, off, wire.TraceContext{
+	wire.PutTraceContext(img, twf.Order, off, wire.TraceContext{
 		TraceID:    traceID,
 		ParentSpan: root,
 		SendUnixNs: uint64(t1.UnixNano()),
@@ -132,23 +140,20 @@ func (w *Writer) writeTraced(rec *Record, tr *tracectx.Tracer) error {
 			seq: w.writeSeq + 1, trace: traceID, parent: root, fmtName: f.wf.Name,
 		})
 	}
-	err = w.tw.WriteRecord(twf, buf)
-	t2 := time.Now()
-	if err != nil {
-		return err
-	}
-	if w.batching {
-		w.writeSeq++
-	}
-	f.met.sent.Inc()
-	name := f.wf.Name
-	tr.Record(tracectx.Span{Trace: traceID, ID: tr.NewID(), Parent: root,
-		Name: tracectx.PhaseExtend, Start: t0, Dur: t1.Sub(t0), Format: name})
-	tr.Record(tracectx.Span{Trace: traceID, ID: tr.NewID(), Parent: root,
-		Name: tracectx.PhaseFrame, Start: t1, Dur: t2.Sub(t1), Format: name})
-	tr.Record(tracectx.Span{Trace: traceID, ID: root,
-		Name: tracectx.PhaseSend, Start: t0, Dur: t2.Sub(t0), Format: name})
-	return nil
+	w.sending = sendTrace{trace: traceID, root: root, extend: t0, frame: t1}
+	return twf, img, true
+}
+
+// recordSendSpans records the sender-side phase spans of the sampled
+// record Write just sent: extend, frame, and the covering send root.
+func (w *Writer) recordSendSpans(name string) {
+	tr, s, end := w.ctx.tracer, w.sending, time.Now()
+	tr.Record(tracectx.Span{Trace: s.trace, ID: tr.NewID(), Parent: s.root,
+		Name: tracectx.PhaseExtend, Start: s.extend, Dur: s.frame.Sub(s.extend), Format: name})
+	tr.Record(tracectx.Span{Trace: s.trace, ID: tr.NewID(), Parent: s.root,
+		Name: tracectx.PhaseFrame, Start: s.frame, Dur: end.Sub(s.frame), Format: name})
+	tr.Record(tracectx.Span{Trace: s.trace, ID: s.root,
+		Name: tracectx.PhaseSend, Start: s.extend, Dur: end.Sub(s.extend), Format: name})
 }
 
 // noteBatchFlush is the transport flush hook (installed by SetBatching
@@ -227,75 +232,4 @@ func (m *Message) recSpan(name string, start, end time.Time, path string) {
 	tr := m.ctx.tracer
 	tr.Record(tracectx.Span{Trace: m.tc.TraceID, ID: tr.NewID(), Parent: m.tc.ParentSpan,
 		Name: name, Start: start, Dur: end.Sub(start), Format: m.msg.Format.Name, Path: path})
-}
-
-// viewTraced is the zero-copy path for sampled messages.  A traced
-// record travels under the trace-extended format, so the plain layout
-// test in View can never match; instead the receiver checks the message
-// against its own trace-extended variant of the expected format — when
-// those agree, the base record is a clean prefix of the wire bytes
-// (appending a field never moves earlier offsets) and is viewed in
-// place exactly like an untraced homogeneous record.
-func (m *Message) viewTraced(expected *Format) (*Record, bool, error) {
-	twf, _, err := expected.tracedFormat()
-	if err != nil || !wire.SameLayout(m.msg.Format, twf) {
-		return nil, false, nil
-	}
-	t0 := time.Now()
-	rec, err := expected.view(m.msg.Data[:expected.wf.Size])
-	if err != nil {
-		return nil, false, err
-	}
-	expected.met.decZero.Inc()
-	m.recSpan(tracectx.PhaseView, t0, time.Now(), "zero_copy")
-	return rec, true, nil
-}
-
-// convertTraced mirrors Message.convert with per-phase span recording:
-// match covers the plan/program lookup (the same reader memo the
-// untraced path consults, building it on a cache miss), convert covers
-// the per-record execution.  Metric observations match the untraced
-// path so sampling does not skew the histograms.
-func (m *Message) convertTraced(expected *Format, dst []byte) error {
-	ctx := m.ctx
-	switch ctx.mode {
-	case Interpreted:
-		t0 := time.Now()
-		plan, err := m.interpPlan(expected.wf)
-		if err != nil {
-			return err
-		}
-		t1 := time.Now()
-		m.recSpan(tracectx.PhaseMatch, t0, t1, "interp")
-		it := convert.NewInterp(plan)
-		if ctx.met.enabled {
-			it.SetMetrics(ctx.convMet)
-		}
-		err = it.Convert(dst, m.msg.Data)
-		t2 := time.Now()
-		if err != nil {
-			return err
-		}
-		expected.met.decInterp.Inc()
-		ctx.met.interpNanos.Observe(t2.Sub(t1).Nanoseconds())
-		m.recSpan(tracectx.PhaseConv, t1, t2, "interp")
-		return nil
-	default:
-		t0 := time.Now()
-		prog, err := m.program(expected.wf)
-		if err != nil {
-			return err
-		}
-		t1 := time.Now()
-		m.recSpan(tracectx.PhaseMatch, t0, t1, "dcg")
-		err = prog.Convert(dst, m.msg.Data)
-		t2 := time.Now()
-		if err != nil {
-			return err
-		}
-		expected.met.decDCG.Inc()
-		ctx.met.dcgNanos.Observe(t2.Sub(t1).Nanoseconds())
-		m.recSpan(tracectx.PhaseConv, t1, t2, "dcg")
-		return nil
-	}
 }
